@@ -11,8 +11,8 @@
 //
 // Tree induction additionally reports the frontier engine's per-stage
 // breakdown (root sort, split scan, repartition) and `tree_speedup`: the
-// ratio of the *pre-frontier* engine's serial build time (the recursive
-// Algorithm::kPresorted baseline, measured once per dataset) to the cell's
+// ratio of the reference engine's serial build time (the resort-per-node
+// Algorithm::kResort builder, measured once per dataset) to the cell's
 // frontier build time. That baseline tree is also byte-compared against
 // every cell's tree, so the speedup is over a bit-identical computation,
 // not a relaxed one. Note the metric is deliberately engine-over-engine:
@@ -71,7 +71,7 @@ struct CellResult {
 };
 
 /// Runs the three parallel hot paths once under `threads` threads.
-/// `baseline_tree` is the serial pre-frontier engine's serialized tree for
+/// `baseline_tree` is the serial kResort reference's serialized tree for
 /// the same dataset; every cell's tree must match it byte for byte.
 CellResult RunCell(const Dataset& data, size_t trials, uint64_t seed,
                    size_t threads, const std::string& baseline_tree) {
@@ -153,7 +153,7 @@ int Run() {
   json << "{\n  \"experiment\": \"parallel_scaling\",\n  \"trials\": "
        << env.trials
        << ",\n  \"tree_speedup_baseline\": "
-          "\"presorted recursive engine (reference split scan), "
+          "\"resort reference engine (reference split scan), "
           "1 thread\",\n  \"cells\": [\n";
   bool first_cell = true;
   int mismatches = 0;
@@ -174,10 +174,10 @@ int Run() {
       Rng data_rng(env.seed);
       const Dataset data = GenerateCovtypeLike(spec, data_rng);
 
-      // The engine-over-engine baseline: the pre-frontier recursive
-      // builder, serial, measured once per dataset.
+      // The engine-over-engine baseline: the kResort reference builder,
+      // serial, measured once per dataset.
       BuildOptions baseline_options;
-      baseline_options.algorithm = BuildOptions::Algorithm::kPresorted;
+      baseline_options.algorithm = BuildOptions::Algorithm::kResort;
       // Best of three, matching the frontier cells' measurement.
       double tree_baseline_s = 0;
       DecisionTree baseline;
@@ -241,7 +241,7 @@ int Run() {
   json << "\n  ],\n  \"checksum_mismatches\": " << mismatches << "\n}\n";
   table.Print(
       "wall-clock by thread count (checksums must all match; tree x = "
-      "frontier engine over pre-frontier serial baseline)");
+      "frontier engine over the serial kResort reference)");
   std::printf("wrote BENCH_parallel.json (%d checksum mismatches)\n",
               mismatches);
   return mismatches == 0 ? 0 : 1;

@@ -2,12 +2,10 @@
 //
 // Three measurements, all emitted into BENCH_resil.json:
 //
-//  1. Supervision overhead: the process-mode sharded release with the
-//     full watchdog stack (heartbeats, deadline poller, restart budget)
-//     against the PR 9 fork-and-block baseline (`supervise=false`) on
-//     the same input. Interleaved trials, median wall per mode. The
-//     fault-free overhead is the headline number and must stay small
-//     (target: <= 2%) — supervision is bookkeeping, not work.
+//  1. Fault-free supervised release: the process-mode sharded release
+//     with the full watchdog stack (heartbeats, deadline poller, restart
+//     budget), median wall over the trials. It is the reference the
+//     recovery latency below is measured against.
 //  2. Admission hot path: the uncontended Acquire/Release round-trip of
 //     the popp-serve AdmissionController in ns/op. This is the exact
 //     per-request cost added over the PR 8 daemon, which had no
@@ -92,17 +90,16 @@ struct RunResult {
 
 constexpr size_t kShards = 4;
 
-/// One supervised (or baseline) process-mode release; checksums the
-/// concatenated shard bytes + serialized plan.
+/// One supervised process-mode release; checksums the concatenated shard
+/// bytes + serialized plan.
 RunResult RunRelease(const std::string& input_path,
                      const std::string& output_path,
-                     const ExperimentEnv& env, bool supervise) {
+                     const ExperimentEnv& env) {
   shard::ShardOptions options;
   options.num_shards = kShards;
   options.workers_mode = shard::WorkersMode::kProcess;
   options.seed = env.seed;
   options.exec = ExecPolicy{kShards};
-  options.supervise = supervise;
   RunResult result;
   const auto t0 = std::chrono::steady_clock::now();
   auto plan = shard::ShardedCustodian::Release(input_path, output_path,
@@ -154,45 +151,23 @@ int Run() {
 
   int mismatches = 0;
 
-  // -- 1. Supervision overhead (fault-free), interleaved trials ----------
-  const size_t overhead_trials = std::max<size_t>(3, env.trials);
-  std::vector<double> unsupervised_walls;
+  // -- 1. Fault-free supervised releases --------------------------------
+  const size_t baseline_trials = std::max<size_t>(3, env.trials);
   std::vector<double> supervised_walls;
-  for (size_t trial = 0; trial < overhead_trials; ++trial) {
-    // Alternate which mode goes first so slow drift (page cache, CPU
-    // frequency) cannot bias one side.
-    for (int leg = 0; leg < 2; ++leg) {
-      const bool supervise = (trial + static_cast<size_t>(leg)) % 2 == 0;
-      RunResult run = RunRelease(input_path, output_path, env, supervise);
-      if (!run.ok) return 1;
-      if (run.checksum != batch_checksum) ++mismatches;
-      (supervise ? supervised_walls : unsupervised_walls)
-          .push_back(run.wall_s);
-      RemoveReleaseFiles(output_path);
-    }
+  for (size_t trial = 0; trial < baseline_trials; ++trial) {
+    RunResult run = RunRelease(input_path, output_path, env);
+    if (!run.ok) return 1;
+    if (run.checksum != batch_checksum) ++mismatches;
+    supervised_walls.push_back(run.wall_s);
+    RemoveReleaseFiles(output_path);
   }
-  const double unsupervised_median = Median(unsupervised_walls);
   const double supervised_median = Median(supervised_walls);
-  const double overhead_pct =
-      unsupervised_median > 0
-          ? (supervised_median - unsupervised_median) / unsupervised_median *
-                100.0
-          : 0.0;
 
   TablePrinter table({"cell", "trials", "median s", "rows/s", "checksum ok"});
   const double sup_rows_per_s =
       supervised_median > 0
           ? static_cast<double>(data.NumRows()) / supervised_median
           : 0.0;
-  const double unsup_rows_per_s =
-      unsupervised_median > 0
-          ? static_cast<double>(data.NumRows()) / unsupervised_median
-          : 0.0;
-  table.AddRow({"process unsupervised (PR 9)",
-                std::to_string(unsupervised_walls.size()),
-                TablePrinter::Fmt(unsupervised_median, 3),
-                TablePrinter::Fmt(unsup_rows_per_s, 0),
-                mismatches == 0 ? "YES" : "NO"});
   table.AddRow({"process supervised",
                 std::to_string(supervised_walls.size()),
                 TablePrinter::Fmt(supervised_median, 3),
@@ -227,7 +202,7 @@ int Run() {
   size_t total_ops = 0;
   {
     fault::ScopedFaultInjection probe(fault::FaultSchedule::CountOnly());
-    RunResult run = RunRelease(input_path, output_path, env, true);
+    RunResult run = RunRelease(input_path, output_path, env);
     if (!run.ok) return 1;
     total_ops = probe.ops_seen();
     RemoveReleaseFiles(output_path);
@@ -252,7 +227,7 @@ int Run() {
     RunResult run;
     {
       fault::ScopedFaultInjection inject(schedule);
-      run = RunRelease(input_path, output_path, env, true);
+      run = RunRelease(input_path, output_path, env);
     }
     const bool fired = !fault::FileExists(token);
     (void)fault::RemoveFile(token);
@@ -268,12 +243,8 @@ int Run() {
   const double recovery_median = Median(recovery_walls);
 
   table.Print(
-      "supervised vs PR 9 fork-and-block baseline (same input, same "
-      "shard/thread grid; checksums must match the batch release)");
-  std::printf(
-      "supervision overhead: %+.2f%% (fault-free, median of %zu trials "
-      "per mode)\n",
-      overhead_pct, overhead_trials);
+      "fault-free supervised process-mode release (checksums must match "
+      "the batch release)");
   std::printf("admission Acquire/Release: %.0f ns/op (%zu iterations)\n",
               admission_ns, admission_iters);
   if (recovery_walls.empty()) {
@@ -295,13 +266,10 @@ int Run() {
   json << "{\n  \"experiment\": \"resilience\",\n  \"rows\": "
        << data.NumRows() << ",\n  \"batch_checksum\": \"" << std::hex
        << batch_checksum << std::dec << "\",\n";
-  json << "  \"supervision\": {\"trials_per_mode\": " << overhead_trials
-       << ", \"unsupervised_median_s\": " << unsupervised_median
-       << ", \"supervised_median_s\": " << supervised_median
-       << ", \"overhead_pct\": " << overhead_pct << "},\n";
   json << "  \"admission\": {\"acquire_release_ns\": " << admission_ns
        << ", \"iterations\": " << admission_iters << "},\n";
-  json << "  \"recovery\": {\"fault_free_median_s\": " << supervised_median
+  json << "  \"recovery\": {\"fault_free_trials\": " << baseline_trials
+       << ", \"fault_free_median_s\": " << supervised_median
        << ", \"samples_s\": [";
   for (size_t i = 0; i < sorted_recovery.size(); ++i) {
     if (i) json << ", ";

@@ -205,17 +205,8 @@ BuildOptions GenerateBuildOptions(const PiecewiseOptions& transform_options,
   options.candidate_mode =
       rng.Bernoulli(0.5) ? BuildOptions::CandidateMode::kAllBoundaries
                          : BuildOptions::CandidateMode::kRunBoundaries;
-  switch (rng.UniformInt(0, 2)) {
-    case 0:
-      options.algorithm = BuildOptions::Algorithm::kResort;
-      break;
-    case 1:
-      options.algorithm = BuildOptions::Algorithm::kPresorted;
-      break;
-    default:
-      options.algorithm = BuildOptions::Algorithm::kFrontier;
-      break;
-  }
+  options.algorithm = rng.Bernoulli(0.5) ? BuildOptions::Algorithm::kResort
+                                         : BuildOptions::Algorithm::kFrontier;
 
   // Envelope correlation (see the header): plans that can mix order within
   // an attribute are only decode-safe for run-boundary splits. Lemma 2

@@ -20,7 +20,6 @@
 #include "stream/cols_io.h"
 #include "stream/manifest.h"
 #include "stream/streaming_custodian.h"
-#include "transform/compiled.h"
 #include "transform/serialize.h"
 #include "transform/tree_decode.h"
 #include "tree/builder.h"
@@ -70,7 +69,7 @@ constexpr char kUsage[] =
     "  serve-client <socket> health\n"
     "  serve-client <socket> shutdown\n"
     "  all take --tenant NAME (default 'default') plus the usual --seed,\n"
-    "  --policy, --breakpoints, --anti, --threads, --no-compiled flags,\n"
+    "  --policy, --breakpoints, --anti, --threads flags,\n"
     "  and --deadline-ms MS / --retry N: the deadline rides the request\n"
     "  (the daemon sheds it with an explicit 'overloaded'/'deadline\n"
     "  exceeded' reply, exit 6, instead of hanging) and --retry retries\n"
@@ -91,9 +90,6 @@ constexpr char kUsage[] =
     "container; convert translates between the two, defaulting --to to\n"
     "the opposite of the input's format. Release output is byte-identical\n"
     "whichever format the input arrives in.\n"
-    "encode, stream-release, verify and report accept --no-compiled to\n"
-    "force the interpreted encode path (A/B debugging; the compiled\n"
-    "kernels are bit-identical, just faster).\n"
     "\n"
     "stream-release journals progress in <out.csv>.manifest and stages\n"
     "bytes in <out.csv>.partial; --resume continues an interrupted run\n"
@@ -104,6 +100,8 @@ constexpr char kUsage[] =
     "with --workers-mode process), fits one global plan from the merged\n"
     "summaries, then encodes each shard into <out>.shard<k> behind its\n"
     "own journal (--resume continues crashed shards independently).\n"
+    "Thread workers run one per shard up to the hardware thread count;\n"
+    "--threads sets the merge + fit and the worker of a 1-shard release.\n"
     "With --workers-mode process each worker is supervised: a worker\n"
     "silent past --worker-deadline MS (default 30000; 0 disables the\n"
     "watchdog) is killed and restarted with jittered exponential backoff,\n"
@@ -255,23 +253,25 @@ int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
   }
-  auto options = TransformFlags(args, err);
-  if (!options) return 2;
-  Rng rng(FlagInt(args, "seed", 1));
-  const TransformPlan plan =
-      TransformPlan::Create(data.value(), *options, rng, ExecFlags(args));
-  const Dataset released =
-      args.flags.count("no-compiled") > 0
-          ? plan.EncodeDataset(data.value(), ExecFlags(args))
-          : CompiledPlan::Compile(plan).EncodeDataset(data.value(),
-                                                      ExecFlags(args));
+  if (data.value().NumRows() == 0) {
+    err << "encode: the input has no data rows to fit on\n";
+    return 1;
+  }
+  auto transform = TransformFlags(args, err);
+  if (!transform) return 2;
+  CustodianOptions options;
+  options.transform = *transform;
+  options.seed = FlagInt(args, "seed", 1);
+  options.exec = ExecFlags(args);
+  const Custodian custodian(std::move(data).value(), options);
+  const Dataset released = custodian.Release();
 
   Status status = WriteCsv(released, args.positional[1]);
   if (!status.ok()) {
     err << status.ToString() << "\n";
     return ExitFor(status);
   }
-  status = SavePlan(plan, args.positional[2]);
+  status = SavePlan(custodian.plan(), args.positional[2]);
   if (!status.ok()) {
     err << status.ToString() << "\n";
     return ExitFor(status);
@@ -301,7 +301,6 @@ int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
     return 2;
   }
   options.fit_rows = FlagInt(args, "fit-rows", 0);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   auto policy_it = args.flags.find("ood-policy");
   if (policy_it != args.flags.end()) {
     auto policy = stream::ParseOodPolicy(policy_it->second);
@@ -377,7 +376,6 @@ int CmdShardRelease(const ParsedArgs& args, std::ostream& out,
     err << "--chunk-rows must be >= 1\n";
     return 2;
   }
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   options.resume = args.flags.count("resume") > 0;
   auto mode_it = args.flags.find("workers-mode");
   if (mode_it != args.flags.end()) {
@@ -530,7 +528,6 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   options.transform = *transform;
   options.tree = *tree;
   options.exec = ExecFlags(args);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   const Custodian custodian(std::move(data).value(), options);
   std::string detail;
   const bool ok = custodian.VerifyNoOutcomeChange(&detail);
@@ -554,7 +551,6 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   CustodianOptions options;
   options.seed = FlagInt(args, "seed", 1);
   options.exec = ExecFlags(args);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   const Custodian custodian(std::move(data).value(), options);
   ReportOptions report_options;
   report_options.num_trials = FlagInt(args, "trials", 31);
@@ -662,7 +658,6 @@ std::string ServeOptionsText(const ParsedArgs& args) {
   copy("save");
   copy("deadline-ms");
   if (args.flags.count("anti") > 0) text += "anti\n";
-  if (args.flags.count("no-compiled") > 0) text += "no-compiled\n";
   return text;
 }
 
@@ -811,7 +806,18 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
       "ood-policy", "fit-rows", "key-in", "format", "to", "tenant",
       "save", "shards", "workers-mode", "key", "worker-deadline",
       "max-worker-restarts", "retry", "deadline-ms"};
+  static const std::vector<std::string> kSwitchFlags = {"anti", "resume",
+                                                        "prune", "manifest"};
   const ParsedArgs parsed = Parse(rest, kValueFlags);
+  for (const auto& flag : parsed.flags) {
+    const auto known = [&flag](const std::vector<std::string>& names) {
+      return std::find(names.begin(), names.end(), flag.first) != names.end();
+    };
+    if (!known(kValueFlags) && !known(kSwitchFlags)) {
+      err << "unknown flag '--" << flag.first << "' (see popp help)\n";
+      return 2;
+    }
+  }
   if (command == "encode") return CmdEncode(parsed, out, err);
   if (command == "stream-release") return CmdStreamRelease(parsed, out, err);
   if (command == "shard-release") return CmdShardRelease(parsed, out, err);

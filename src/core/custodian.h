@@ -29,9 +29,6 @@ struct CustodianOptions {
   /// Execution policy for plan selection and mining. Serial by default;
   /// any thread count produces bit-identical plans and trees.
   ExecPolicy exec;
-  /// Encode D' through the compiled kernels (bit-identical to the
-  /// interpreted path; `--no-compiled` flips this off for A/B debugging).
-  bool use_compiled = true;
 };
 
 /// Owns the original data and the secret transformation plan.
@@ -46,7 +43,9 @@ class Custodian {
   const TransformPlan& plan() const { return plan_; }
   const CompiledPlan& compiled_plan() const { return compiled_; }
 
-  /// The released dataset D' the service provider receives.
+  /// The released dataset D' the service provider receives, encoded
+  /// through the compiled kernels (bit-identical to the interpreted
+  /// TransformPlan::EncodeDataset, which remains the test oracle).
   Dataset Release() const;
 
   /// What the (honest) service provider computes: the tree mined from D'.
@@ -70,7 +69,7 @@ class Custodian {
   Dataset original_;
   CustodianOptions options_;
   TransformPlan plan_;
-  CompiledPlan compiled_;  // empty unless options_.use_compiled
+  CompiledPlan compiled_;
 };
 
 }  // namespace popp

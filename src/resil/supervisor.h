@@ -27,8 +27,7 @@
 /// the child with the 0-based attempt number, so a restarted encode worker
 /// can switch itself into journal-resume mode and only redo missing
 /// chunks. The coordinator must be effectively single-threaded when this
-/// is called (fork does not mix with live thread pools) — the same
-/// restriction the unsupervised fork path always had.
+/// is called (fork does not mix with live thread pools).
 
 namespace popp::resil {
 

@@ -27,7 +27,6 @@ struct OpOptions {
   PiecewiseOptions transform;
   uint64_t seed = 1;
   ExecPolicy exec;
-  bool use_compiled = true;
   size_t trials = 31;
   std::string save_path;
   /// Parsed for validation only: the server anchors the deadline at frame
@@ -73,8 +72,6 @@ Result<OpOptions> ParseOptions(const std::string& text,
                                   : requested;
       options.exec.num_threads = std::min(
           std::max<size_t>(resolved, 1), config.max_request_threads);
-    } else if (key == "no-compiled") {
-      options.use_compiled = false;
     } else if (key == "trials") {
       options.trials = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "save") {
@@ -245,9 +242,7 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
     return *late;
   }
   const Dataset released =
-      options.value().use_compiled
-          ? cached->compiled.EncodeDataset(data.value(), options.value().exec)
-          : cached->plan.EncodeDataset(data.value(), options.value().exec);
+      cached->compiled.EncodeDataset(data.value(), options.value().exec);
   // The reply mirrors the request framing: a popp-cols request gets a
   // popp-cols release (the binary container is ~50x cheaper to serialize
   // than CSV, which is where warm-request latency goes otherwise); a CSV
@@ -314,7 +309,6 @@ ReplyBody OpVerify(Workspace& workspace, const RequestBody& request,
   custodian_options.seed = options.value().seed;
   custodian_options.transform = options.value().transform;
   custodian_options.exec = options.value().exec;
-  custodian_options.use_compiled = options.value().use_compiled;
   const Custodian custodian(std::move(data).value(), custodian_options);
   std::string detail;
   const bool ok = custodian.VerifyNoOutcomeChange(&detail);
@@ -342,7 +336,6 @@ ReplyBody OpRisk(Workspace& workspace, const RequestBody& request,
   custodian_options.seed = options.value().seed;
   custodian_options.transform = options.value().transform;
   custodian_options.exec = options.value().exec;
-  custodian_options.use_compiled = options.value().use_compiled;
   const Custodian custodian(std::move(data).value(), custodian_options);
   ReportOptions report_options;
   report_options.num_trials = options.value().trials;

@@ -25,7 +25,6 @@
 ///   threads N       ExecPolicy for this request        (default 1; 0 =
 ///                   all hardware threads, as in the CLI; either way
 ///                   capped by the server's max_request_threads)
-///   no-compiled     force the interpreted encode path
 ///   trials N        risk-report trials                 (risk; default 31)
 ///   deadline-ms N   relative deadline for this request. The server
 ///                   anchors it at frame receipt against its own steady

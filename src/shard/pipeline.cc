@@ -1,8 +1,5 @@
 #include "shard/pipeline.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -65,7 +62,6 @@ stream::StreamOptions WorkerStreamOptions(const ShardOptions& options,
   so.transform = options.transform;
   so.seed = options.seed;
   so.exec = exec;
-  so.use_compiled = options.use_compiled;
   return so;
 }
 
@@ -155,17 +151,18 @@ Status EncodeShard(const std::string& input_path, const std::string& out_path,
 }
 
 /// Runs `body(k)` for every shard. One shard runs inline on the calling
-/// thread with the full thread budget; several run as ThreadPool workers
-/// (their own inner ParallelFor calls then execute inline — shards are the
-/// parallelism). Output bits are identical either way.
+/// thread with the full thread budget; several run as ThreadPool workers,
+/// one per shard up to the hardware thread count, whatever `exec` says —
+/// shards are the parallelism, and their own inner ParallelFor calls
+/// execute inline. Output bits are identical either way.
 void RunShardWorkers(const ShardOptions& options,
                      const std::function<void(size_t)>& body) {
   if (options.num_shards == 1) {
     body(0);
     return;
   }
-  const size_t threads =
-      std::min(options.exec.ResolvedThreads(), options.num_shards);
+  const size_t threads = std::min(
+      options.num_shards, ExecPolicy::Hardware().ResolvedThreads());
   ParallelFor(ExecPolicy{threads}, options.num_shards, body);
 }
 
@@ -209,79 +206,20 @@ Status WorkerExitStatus(size_t index, int code) {
   }
 }
 
-/// Forks one worker per shard and runs `body(k)` in the child, which
-/// exits immediately after (no atexit, no double-flushed stdio). Workers
-/// are forked from a single-threaded coordinator (transient ThreadPools
-/// are always joined), so the children start clean. Returns the first
-/// failure across workers after *all* of them were reaped.
-Status RunForkedWorkers(size_t num_shards,
-                        const std::function<Status(size_t)>& body) {
-  std::fflush(nullptr);
-  std::vector<pid_t> pids(num_shards, -1);
-  Status first = Status::Ok();
-  for (size_t k = 0; k < num_shards; ++k) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      if (first.ok()) {
-        first = Status::Internal("fork failed for shard " +
-                                 std::to_string(k) + " worker");
-      }
-      break;
-    }
-    if (pid == 0) {
-      const Status status = body(k);
-      if (!status.ok()) {
-        std::fprintf(stderr, "shard %zu worker: %s\n", k,
-                     status.ToString().c_str());
-        std::fflush(stderr);
-      }
-      _exit(WorkerExitCode(status));
-    }
-    pids[k] = pid;
-  }
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (pids[k] < 0) continue;
-    int wstatus = 0;
-    if (waitpid(pids[k], &wstatus, 0) < 0) {
-      if (first.ok()) {
-        first = Status::Internal("waitpid failed for shard " +
-                                 std::to_string(k) + " worker");
-      }
-      continue;
-    }
-    Status status = Status::Ok();
-    if (WIFEXITED(wstatus)) {
-      status = WorkerExitStatus(k, WEXITSTATUS(wstatus));
-    } else if (WIFSIGNALED(wstatus)) {
-      status = Status::Internal("shard " + std::to_string(k) +
-                                " worker killed by signal " +
-                                std::to_string(WTERMSIG(wstatus)));
-    }
-    if (first.ok() && !status.ok()) first = status;
-  }
-  return first;
-}
-
-/// Supervised replacement for RunForkedWorkers: forks one child per shard
-/// under the resil watchdog. Each child appends heartbeats to
-/// `<out>.shard<k>.hb`; a child silent past `worker_deadline_ms` is
-/// killed, and any failed attempt (crash, non-zero exit, watchdog kill)
-/// is restarted with deterministic backoff — `body` receives the attempt
-/// number so a restarted encode switches into journal-resume mode. After
+/// Forks one child per shard under the resil watchdog. Each child appends
+/// heartbeats to `<out>.shard<k>.hb`; a child silent past
+/// `worker_deadline_ms` is killed, and any failed attempt (crash, non-zero
+/// exit, watchdog kill) is restarted with deterministic backoff — `body`
+/// receives the attempt number so a restarted encode switches into
+/// journal-resume mode. After
 /// `max_worker_restarts` the shard is quarantined and the release fails
-/// with the shard's full failure history. `supervise = false` falls back
-/// to the plain fork-and-block path (the benchmark baseline).
+/// with the shard's full failure history.
 Status RunShardProcesses(
     const ShardOptions& options, const std::string& out_path,
     const char* phase,
     const std::function<Status(size_t shard, size_t attempt,
                                resil::HeartbeatWriter* hb)>& body,
     ShardStats* stats) {
-  if (!options.supervise) {
-    return RunForkedWorkers(options.num_shards, [&](size_t k) {
-      return body(k, 0, nullptr);
-    });
-  }
   std::vector<resil::WorkerTask> tasks(options.num_shards);
   for (size_t k = 0; k < options.num_shards; ++k) {
     tasks[k].name =

@@ -47,30 +47,29 @@ struct ShardOptions {
   size_t chunk_rows = 4096;
   PiecewiseOptions transform;
   uint64_t seed = 1;
-  /// Thread budget. With one shard the single worker uses all of it (the
-  /// exact single-process path); with more, shards are the unit of
-  /// parallelism. Output bits never depend on it.
+  /// Thread budget of the single worker of a 1-shard release (the exact
+  /// single-process path) and of the merge + plan fit. With more shards,
+  /// shards are the unit of parallelism: thread mode runs
+  /// min(num_shards, hardware threads) workers at once, each serial
+  /// inside. Output bits never depend on it.
   ExecPolicy exec;
-  bool use_compiled = true;
   /// Resume per-shard from surviving journals instead of starting over.
   bool resume = false;
   /// Input format (kAuto sniffs once, up front).
   stream::DatasetFormat format = stream::DatasetFormat::kAuto;
   /// Input CSV dialect.
   CsvOptions csv;
-  /// Process-mode supervision: max ms a forked worker may go without
+  /// Process-mode supervision (forked workers are always supervised;
+  /// thread-mode workers never are): max ms a forked worker may go without
   /// heartbeat progress before the coordinator's watchdog kills it.
   /// 0 disables the watchdog.
   uint64_t worker_deadline_ms = 30000;
   /// Restarts per worker after its first failed attempt (crash, non-zero
   /// exit, or watchdog kill) before the shard is quarantined. A restarted
   /// encode worker resumes from its journal and only redoes missing
-  /// chunks.
+  /// chunks. With worker_deadline_ms = 0 and max_worker_restarts = 0 a
+  /// forked worker runs once, unwatched.
   size_t max_worker_restarts = 2;
-  /// Escape hatch for benchmarking the supervision overhead: false uses
-  /// the PR 9 fork-and-block path (no heartbeats, no watchdog, no
-  /// restarts). Thread-mode workers are never supervised.
-  bool supervise = true;
 };
 
 /// Observability of one sharded release.

@@ -45,24 +45,18 @@ std::string RejectMessage(const Schema& schema, size_t attr, AttrValue x,
   return oss.str();
 }
 
-/// Encodes one chunk in place, through the compiled kernels when
-/// `compiled` is non-null (bit-identical either way). Returns the
+/// Encodes one chunk in place through the compiled kernels. Returns the
 /// lexicographically first (row, attribute) rejection if the policy is
 /// kReject and the chunk holds out-of-domain values.
-Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
-                   const CompiledPlan* compiled, OodPolicy policy,
-                   const ExecPolicy& exec, size_t rows_before,
-                   StreamStats* stats) {
-  const size_t num_attrs = plan.NumAttributes();
+Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
+                   OodPolicy policy, const ExecPolicy& exec,
+                   size_t rows_before, StreamStats* stats) {
+  const size_t num_attrs = compiled.NumAttributes();
   std::vector<AttrScan> scans(num_attrs);
   ParallelFor(exec, num_attrs, [&](size_t attr) {
     AttrScan& scan = scans[attr];
-    const PiecewiseTransform& t = plan.transform(attr);
-    const CompiledTransform* ct =
-        compiled != nullptr ? &compiled->transform(attr) : nullptr;
-    const DomainHull hull = ct != nullptr
-                                ? DomainHull{ct->bounds().lo, ct->bounds().hi}
-                                : FittedHull(t);
+    const CompiledTransform& ct = compiled.transform(attr);
+    const DomainHull hull{ct.bounds().lo, ct.bounds().hi};
     auto& col = chunk->MutableColumn(attr);
     for (size_t r = 0; r < col.size(); ++r) {
       const AttrValue x = col[r];
@@ -77,11 +71,10 @@ Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
             }
             continue;
           case OodPolicy::kClamp:
-            col[r] = ct != nullptr ? ct->EncodeClamped(x) : EncodeClamped(t, x);
+            col[r] = ct.EncodeClamped(x);
             continue;
           case OodPolicy::kExtendPiece:
-            col[r] =
-                ct != nullptr ? ct->EncodeExtended(x) : EncodeExtended(t, x);
+            col[r] = ct.EncodeExtended(x);
             continue;
           case OodPolicy::kRefit:
             // Unreachable: the refit path re-fits the plan on a summary
@@ -90,7 +83,7 @@ Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
             break;
         }
       }
-      col[r] = ct != nullptr ? ct->Apply(x) : t.Apply(x);
+      col[r] = ct.Apply(x);
     }
   });
   // Serial merge in fixed order; under kReject report the first offending
@@ -140,11 +133,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
   size_t chunk_index = 0;
   std::unique_ptr<IncrementalSummary> running;  // kRefit only
   size_t rows_before = 0;
-  CompiledPlan compiled;
-  if (options.use_compiled) {
-    compiled = CompiledPlan::Compile(plan);
-  }
-  const CompiledPlan* cp = options.use_compiled ? &compiled : nullptr;
+  CompiledPlan compiled = CompiledPlan::Compile(plan);
   for (;;) {
     const auto encode_start = Clock::now();
     Result<Dataset> next = reader.NextChunk(options.chunk_rows);
@@ -195,9 +184,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
         Rng rng(options.seed);
         plan = TransformPlan::CreateFromSummaries(
             running->SummarizeAll(), options.transform, rng, options.exec);
-        if (options.use_compiled) {
-          compiled = CompiledPlan::Compile(plan);
-        }
+        compiled = CompiledPlan::Compile(plan);
         if (stats != nullptr) {
           stats->refits++;
           stats->fit_seconds += SecondsSince(fit_start);
@@ -217,7 +204,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
       rows_before += chunk.NumRows();
       continue;
     }
-    POPP_RETURN_IF_ERROR(EncodeChunk(&chunk, plan, cp, options.ood_policy,
+    POPP_RETURN_IF_ERROR(EncodeChunk(&chunk, compiled, options.ood_policy,
                                      options.exec, rows_before, stats));
     ++chunk_index;
     rows_before += chunk.NumRows();

@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "transform/compiled.h"
 #include "util/status.h"
 
 namespace popp {
@@ -45,7 +46,7 @@ DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
   DecisionTree out;
   if (tprime.empty()) return out;
 
-  const Dataset encoded = plan.EncodeDataset(original);
+  const Dataset encoded = CompiledPlan::Compile(plan).EncodeDataset(original);
 
   std::function<NodeId(NodeId, const std::vector<size_t>&)> walk =
       [&](NodeId id, const std::vector<size_t>& rows) -> NodeId {

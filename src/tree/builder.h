@@ -63,24 +63,19 @@ struct BuildOptions {
   };
   CandidateMode candidate_mode = CandidateMode::kRunBoundaries;
 
-  /// Internal search strategy; all three produce bit-identical trees.
+  /// Internal search strategy; both produce bit-identical trees.
   enum class Algorithm {
     /// Sort the node's tuples per attribute at every node. Simple; the
-    /// reference implementation.
+    /// reference implementation the frontier engine is tested (and the
+    /// scaling benchmark's tree speedup measured) against.
     kResort,
-    /// Depth-first recursion over per-node sorted row lists (one stable
-    /// sort per attribute at the root, lists partitioned at each split).
-    /// O(m n) per level but allocates fresh row vectors per node; kept as
-    /// the pre-frontier engine for equivalence tests and as the baseline
-    /// the scaling benchmark measures against.
-    kPresorted,
     /// Breadth-first frontier over SoA columnar node partitions: one
     /// stable sort + bin coding per attribute up front, then per level a
     /// parallel (node × attribute) split scan and a ping-pong stable
     /// repartition of the index views (SLIQ/LightGBM-style); child class
     /// histograms fall out of the mark pass, never from a rescan.
     /// Allocation-free per node, parallelizes across the whole frontier,
-    /// and emits the finished tree in the recursive builders' exact
+    /// and emits the finished tree in the kResort reference's exact
     /// post-order — the default.
     kFrontier,
   };
@@ -88,8 +83,8 @@ struct BuildOptions {
 };
 
 /// Wall-clock breakdown of one frontier build (seconds per stage), filled
-/// by Build(data, &stats) when the algorithm is kFrontier (the recursive
-/// engines leave it zeroed). The scan stage is the histogram/split search;
+/// by Build(data, &stats) when the algorithm is kFrontier (the kResort
+/// reference leaves it zeroed). The scan stage is the histogram/split search;
 /// partition covers row marking plus the columnar repartition.
 struct BuildStats {
   double sort_s = 0;       ///< root presort + bin coding
@@ -126,7 +121,7 @@ struct SplitDecision {
 ///
 /// With a non-serial ExecPolicy the work units run on a thread pool: the
 /// frontier engine parallelizes over every (open node × attribute) pair of
-/// a level, the recursive engines over the attributes of one node. In all
+/// a level, the kResort reference over the attributes of one node. In all
 /// cases each work unit writes an index-addressed local result and all
 /// combining — the cross-attribute best-split merge, the level's child
 /// scheduling, the final post-order emission — happens serially in index
@@ -161,10 +156,6 @@ class DecisionTreeBuilder {
   NodeId BuildNode(const Dataset& data, std::vector<size_t>& rows,
                    size_t depth, DecisionTree& tree,
                    ThreadPool* pool) const;
-  NodeId BuildNodePresorted(const Dataset& data,
-                            std::vector<std::vector<size_t>>& columns,
-                            size_t depth, DecisionTree& tree,
-                            ThreadPool* pool) const;
   void BuildFrontier(const Dataset& data, ThreadPool* pool,
                      DecisionTree& tree, BuildStats* stats) const;
   void ScanAttribute(size_t attr, const AttributeSummary& summary,

@@ -220,7 +220,6 @@ TEST(BuilderParallel, AllAlgorithmsAgreeAtEveryThreadCount) {
   const std::string expected =
       SerializeTree(DecisionTreeBuilder(reference).Build(d));
   for (auto algorithm : {BuildOptions::Algorithm::kResort,
-                         BuildOptions::Algorithm::kPresorted,
                          BuildOptions::Algorithm::kFrontier}) {
     BuildOptions options;
     options.algorithm = algorithm;

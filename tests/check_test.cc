@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -151,6 +152,34 @@ TEST(Shrink, ReproducerRoundTripsThroughDisk) {
   EXPECT_EQ(a.build_options.criterion, b.build_options.criterion);
   EXPECT_EQ(a.transform_options.global_anti_monotone,
             b.transform_options.global_anti_monotone);
+  std::remove(csv.c_str());
+  std::remove(recipe.c_str());
+}
+
+TEST(Shrink, RecipeRejectsTheRetiredPresortedEngine) {
+  // Only the kResort reference and the kFrontier product engine exist;
+  // a recipe naming any other engine is refused, never silently remapped.
+  const std::string dir = testing::TempDir();
+  const std::string csv = dir + "/check_test_engine.csv";
+  const std::string recipe = dir + "/check_test_engine.recipe";
+  Reproducer repro{GenerateTrialCase(SmallGen(), 22), "label_runs",
+                   "synthetic"};
+  repro.c.build_options.algorithm = BuildOptions::Algorithm::kResort;
+  ASSERT_TRUE(WriteReproducer(repro, csv, recipe).ok());
+  std::stringstream text;
+  text << std::ifstream(recipe).rdbuf();
+  std::string edited = text.str();
+  const size_t at = edited.find(" algorithm resort");
+  ASSERT_NE(at, std::string::npos) << edited;
+  edited.replace(at, std::string(" algorithm resort").size(),
+                 " algorithm presorted");
+  std::ofstream(recipe, std::ios::trunc) << edited;
+  auto back = LoadReproducer(recipe);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find("unknown algorithm 'presorted'"),
+            std::string::npos)
+      << back.status().ToString();
   std::remove(csv.c_str());
   std::remove(recipe.c_str());
 }

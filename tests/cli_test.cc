@@ -17,6 +17,8 @@
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
 #include "tree/compare.h"
+#include "transform/plan.h"
+#include "transform/serialize.h"
 #include "tree/serialize.h"
 #include "util/integrity.h"
 #include "util/rng.h"
@@ -123,33 +125,55 @@ TEST_F(CliTest, FullEncodeMineDecodePipeline) {
       << DescribeDifference(direct_tree.value(), decoded_tree.value());
 }
 
-TEST_F(CliTest, NoCompiledFlagProducesIdenticalRelease) {
-  // --no-compiled switches encode to the interpreted path; the compiled
-  // kernels are bit-identical, so both releases must match byte for byte.
-  const std::string compiled_csv = TempPath("rel_compiled.csv");
-  const std::string compiled_key = TempPath("rel_compiled.key");
-  const std::string interp_csv = TempPath("rel_interp.csv");
-  const std::string interp_key = TempPath("rel_interp.key");
-  ASSERT_EQ(RunPopp({"encode", csv_path_, compiled_csv, compiled_key,
-                     "--seed", "11"})
-                .code,
-            0);
-  const CliResult r = RunPopp({"encode", csv_path_, interp_csv, interp_key,
-                               "--seed", "11", "--no-compiled"});
+TEST_F(CliTest, EncodeMatchesInterpretedLibraryRelease) {
+  // `popp encode` runs the compiled kernels; the interpreted
+  // TransformPlan::EncodeDataset is the definition they must reproduce
+  // byte for byte, with the same key.
+  const std::string released = TempPath("rel_compiled.csv");
+  const std::string key = TempPath("rel_compiled.key");
+  const CliResult r =
+      RunPopp({"encode", csv_path_, released, key, "--seed", "11"});
   ASSERT_EQ(r.code, 0) << r.err;
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream s;
-    s << in.rdbuf();
-    return s.str();
-  };
-  EXPECT_EQ(slurp(compiled_csv), slurp(interp_csv));
-  EXPECT_EQ(slurp(compiled_key), slurp(interp_key));
 
-  // The flag is also accepted by verify.
-  const CliResult v =
-      RunPopp({"verify", csv_path_, "--seed", "9", "--no-compiled"});
-  EXPECT_EQ(v.code, 0) << v.err;
+  auto original = ReadCsv(csv_path_);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  Rng rng(11);
+  const TransformPlan plan =
+      TransformPlan::Create(original.value(), PiecewiseOptions{}, rng);
+  auto written = fault::ReadFileToString(released);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value(), ToCsvString(plan.EncodeDataset(original.value())));
+  auto saved = LoadPlan(key);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(SerializePlan(saved.value()), SerializePlan(plan));
+}
+
+TEST(CliBasicsTest, EncodeRejectsAnInputWithNoRows) {
+  const std::string empty = TempPath("no_rows.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(empty, "a,b,class\n").ok());
+  const CliResult r = RunPopp(
+      {"encode", empty, TempPath("no_rows_out.csv"), TempPath("no_rows.key")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("no data rows"), std::string::npos) << r.err;
+}
+
+TEST(CliBasicsTest, UnknownFlagIsAUsageError) {
+  // A typo must not silently fall back to a default (--shard for
+  // --shards would otherwise release with 2 shards).
+  CliResult r = RunPopp({"shard-release", "in.csv", "out", "key.out",
+                         "--shard", "4"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag '--shard'"), std::string::npos)
+      << r.err;
+  // The retired interpreted-path switch is refused, not ignored.
+  r = RunPopp({"encode", "in.csv", "out.csv", "key.out", "--no-compiled"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag '--no-compiled'"), std::string::npos)
+      << r.err;
+  r = RunPopp({"verify", "in.csv", "--seed=3", "--bogus=1"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag '--bogus'"), std::string::npos)
+      << r.err;
 }
 
 TEST_F(CliTest, EncodedCsvDiffersEverywhere) {

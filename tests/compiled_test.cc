@@ -226,9 +226,19 @@ TEST(CompiledTransformTest, OodEncodersMatchStreamHelpers) {
   }
 }
 
-/// Per-policy regression: the streamed release through the compiled
-/// kernels is byte-identical to the interpreted streamed release. (The
-/// OOD semantics live in one shared implementation either way.)
+/// The interpreted per-value reference of a streamed release under
+/// `policy`: in-hull values through PiecewiseTransform::Apply, the rest
+/// through the policy's interpreted out-of-domain helper.
+AttrValue InterpretedStreamEncode(const PiecewiseTransform& t,
+                                  stream::OodPolicy policy, AttrValue x) {
+  if (stream::FittedHull(t).Contains(x)) return t.Apply(x);
+  return policy == stream::OodPolicy::kClamp ? stream::EncodeClamped(t, x)
+                                             : stream::EncodeExtended(t, x);
+}
+
+/// Per-policy regression: every value of the streamed release (encoded by
+/// the compiled kernels) is bit-identical to the interpreted per-value
+/// reference over the plan that encoded it.
 TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
   Dataset d({"x", "y"}, {"a", "b"});
   for (int i = 0; i < 60; ++i) {
@@ -239,50 +249,52 @@ TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
   d.AddRow({120, 7}, 0);   // beyond the prefix hull
   d.AddRow({-40, 8}, 1);
   d.AddRow({121, 9}, 0);
-  for (const stream::OodPolicy policy :
-       {stream::OodPolicy::kClamp, stream::OodPolicy::kExtendPiece,
-        stream::OodPolicy::kRefit}) {
-    stream::StreamOptions options;
-    options.chunk_rows = 10;
-    options.fit_rows = 60;
-    options.ood_policy = policy;
-    options.seed = 5;
-
-    stream::DatasetChunkReader interp_reader(&d);
-    stream::DatasetChunkWriter interp_writer;
-    options.use_compiled = false;
-    auto interp = stream::StreamingCustodian::Release(
-        interp_reader, interp_writer, options);
-    ASSERT_TRUE(interp.ok()) << interp.status().ToString();
-
-    stream::DatasetChunkReader comp_reader(&d);
-    stream::DatasetChunkWriter comp_writer;
-    options.use_compiled = true;
-    auto comp = stream::StreamingCustodian::Release(comp_reader, comp_writer,
-                                                    options);
-    ASSERT_TRUE(comp.ok()) << comp.status().ToString();
-
-    EXPECT_EQ(SerializePlan(interp.value()), SerializePlan(comp.value()))
-        << stream::ToString(policy);
-    EXPECT_EQ(ToCsvString(interp_writer.collected()),
-              ToCsvString(comp_writer.collected()))
-        << stream::ToString(policy);
-  }
-  // kReject: both paths report the same first offending row.
   stream::StreamOptions options;
   options.chunk_rows = 10;
   options.fit_rows = 60;
-  options.ood_policy = stream::OodPolicy::kReject;
   options.seed = 5;
-  stream::DatasetChunkReader r1(&d), r2(&d);
-  stream::DatasetChunkWriter w1, w2;
-  options.use_compiled = false;
-  auto interp = stream::StreamingCustodian::Release(r1, w1, options);
-  options.use_compiled = true;
-  auto comp = stream::StreamingCustodian::Release(r2, w2, options);
-  ASSERT_FALSE(interp.ok());
-  ASSERT_FALSE(comp.ok());
-  EXPECT_EQ(interp.status().ToString(), comp.status().ToString());
+  // The prefix plan: what every chunk is encoded with until a refit.
+  TransformPlan prefix_plan;
+  for (const stream::OodPolicy policy :
+       {stream::OodPolicy::kClamp, stream::OodPolicy::kExtendPiece,
+        stream::OodPolicy::kRefit}) {
+    SCOPED_TRACE(stream::ToString(policy));
+    options.ood_policy = policy;
+    stream::DatasetChunkReader reader(&d);
+    stream::DatasetChunkWriter writer;
+    stream::StreamStats stats;
+    auto plan =
+        stream::StreamingCustodian::Release(reader, writer, options, &stats);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    if (policy == stream::OodPolicy::kClamp) prefix_plan = plan.value();
+    // Under kRefit the last chunk (rows 60..62) holds the out-of-domain
+    // values; it triggers one refit and is the only chunk encoded with the
+    // returned plan. The earlier chunks keep the prefix plan.
+    const size_t refit_row = policy == stream::OodPolicy::kRefit ? 60 : 0;
+    EXPECT_EQ(stats.refits, policy == stream::OodPolicy::kRefit ? 1u : 0u);
+    const Dataset& released = writer.collected();
+    ASSERT_EQ(released.NumRows(), d.NumRows());
+    for (size_t a = 0; a < d.NumAttributes(); ++a) {
+      for (size_t r = 0; r < d.NumRows(); ++r) {
+        const TransformPlan& used =
+            r < refit_row ? prefix_plan : plan.value();
+        EXPECT_TRUE(BitEqual(
+            released.Value(r, a),
+            InterpretedStreamEncode(used.transform(a), policy, d.Value(r, a))))
+            << "row " << r << " attribute " << a;
+      }
+    }
+  }
+  // kReject: the first offending value in stream order is reported.
+  options.ood_policy = stream::OodPolicy::kReject;
+  stream::DatasetChunkReader reader(&d);
+  stream::DatasetChunkWriter writer;
+  auto rejected = stream::StreamingCustodian::Release(reader, writer, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(rejected.status().message().find("stream row 61: attribute 'x'"),
+            std::string::npos)
+      << rejected.status().ToString();
 }
 
 // -------------------------------------------------- serialize round trip

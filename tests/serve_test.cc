@@ -822,13 +822,16 @@ TEST_F(ServeEndToEndTest, FitDecodeVerifyRiskRoundTrips) {
   ASSERT_TRUE(report.ok() && report.value().ok());
   EXPECT_FALSE(report.value().body.empty());
 
-  // Unknown request option → clean kInvalidArgument reply, daemon alive.
-  RequestBody bad;
-  bad.options = "frobnicate 1\n";
-  bad.dataset = csv_bytes_;
-  auto rejected = client.Call(Tag::kEncode, "ops", bad);
-  ASSERT_TRUE(rejected.ok());
-  EXPECT_EQ(rejected.value().code, StatusCode::kInvalidArgument);
+  // Unknown request option (the retired interpreted-path switch too) →
+  // clean kInvalidArgument reply, daemon alive.
+  for (const char* option : {"frobnicate 1\n", "no-compiled\n"}) {
+    RequestBody bad;
+    bad.options = option;
+    bad.dataset = csv_bytes_;
+    auto rejected = client.Call(Tag::kEncode, "ops", bad);
+    ASSERT_TRUE(rejected.ok());
+    EXPECT_EQ(rejected.value().code, StatusCode::kInvalidArgument) << option;
+  }
 
   EXPECT_EQ(daemon.Shutdown(), 0);
 }

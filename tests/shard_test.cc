@@ -1096,27 +1096,27 @@ TEST(ShardProcessSupervisionTest, CrashedWorkerIsRestartedAndConverges) {
   EXPECT_TRUE(shard::VerifyShardedRelease(out, &crc, nullptr).ok());
 }
 
-TEST(ShardProcessSupervisionTest, UnsupervisedEscapeHatchStaysByteIdentical) {
-  // supervise=false is the benchmark baseline (the PR 9 fork-and-block
-  // path): same bytes, no heartbeat files, zeroed supervision counters.
-  const Dataset data = CovtypeLikeData(70, 83);
-  const std::string input = WriteInput(data, "sup_off.csv", false);
+// ---------------------------------------------------- thread-mode fan-out --
+
+TEST(ShardThreadModeTest, FourShardsAtSerialExecMatchStreamRelease) {
+  // A serial thread budget does not serialize the shards (they fan out to
+  // min(shards, hardware threads) workers); the bytes stay exactly the
+  // single-process streamed release.
+  const Dataset data = CovtypeLikeData(200, 61);
+  const std::string input = WriteInput(data, "fanout.csv", false);
   std::string golden_plan;
-  const std::string golden = StreamReleaseBytes(input, 24, 11, &golden_plan);
-  const std::string out = TempPath("sup_off_out");
-  ShardOptions options = BaseOptions(2, 1, 24, 11);
-  options.workers_mode = shard::WorkersMode::kProcess;
-  options.supervise = false;
+  const std::string golden = StreamReleaseBytes(input, 16, 13, &golden_plan);
+  const std::string out = TempPath("fanout_out");
+  ShardOptions options = BaseOptions(4, 1, 16, 13);
+  options.exec = ExecPolicy::Serial();
   ShardStats stats;
   auto plan = ShardedCustodian::Release(input, out, options, &stats);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(SerializePlan(plan.value()), golden_plan);
-  EXPECT_EQ(ConcatShards(out, 2), golden);
-  EXPECT_EQ(stats.workers_killed, 0u);
-  EXPECT_EQ(stats.worker_restarts, 0u);
-  for (size_t k = 0; k < 2; ++k) {
-    EXPECT_FALSE(fault::FileExists(shard::ShardFilePath(out, k) + ".hb"));
-  }
+  EXPECT_EQ(ConcatShards(out, 4), golden);
+  EXPECT_EQ(stats.rows, data.NumRows());
+  const uint64_t crc = Crc64(golden_plan);
+  EXPECT_TRUE(shard::VerifyShardedRelease(out, &crc, nullptr).ok());
 }
 
 // ---------------------------------------------------------- the oracle --

@@ -6,7 +6,9 @@
 # Stage 1 builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
 # ctest, then hammers the invariant oracles — including stream_vs_batch,
 # the streamed-release == batch-release contract — with a bounded
-# popp_check run. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
+# popp_check run, plus a bounded compiled_vs_interpreted run: the product
+# encodes only through the compiled kernels, so that oracle is the one
+# check that they still match the interpreted definition. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
 # runs the parallel execution layer's tests, the streaming release tests,
 # the compiled-kernel tests, the frontier tree builder's stress battery
 # (which sweeps 1/2/3/7/8-thread builds against the serial bytes), and
@@ -64,6 +66,13 @@ echo "== cols_vs_csv oracle under ASan (bounded) =="
 "$build_dir/tools/popp_check" --oracle cols_vs_csv \
   --trials 50 --seed 13 --out "$build_dir"
 
+echo "== compiled_vs_interpreted oracle under ASan (bounded) =="
+# The product encodes only through the compiled kernels; the interpreted
+# PiecewiseTransform::Apply / TransformPlan::EncodeDataset survive solely
+# as this oracle's reference, so it runs under both sanitizers.
+"$build_dir/tools/popp_check" --oracle compiled_vs_interpreted \
+  --trials 50 --seed 23 --out "$build_dir"
+
 echo "== serve_vs_cli oracle + serving tests under ASan =="
 # The serving contract: daemon-served encodes must be byte-identical to
 # the one-shot CLI at 1/2/7 request threads in both framings, repeat
@@ -87,7 +96,7 @@ echo "== shard_vs_stream oracle + sharded-release tests under ASan =="
 "$build_dir/tools/popp_check" --oracle shard_vs_stream \
   --trials 10 --seed 19 --out "$build_dir"
 "$build_dir/tests/popp_tests" \
-  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardResume*:ShardProcess*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:CliShardProcess*:CliBasicsTest.Shard*'
+  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardResume*:ShardProcess*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:CliShardProcess*:CliBasicsTest.Shard*'
 
 echo "== supervised_convergence oracle + resilience tests under ASan =="
 # The supervision/overload contract: randomized crash/error/delay
@@ -173,7 +182,7 @@ echo "== shard_vs_stream oracle + sharded-release tests under TSan =="
 "$tsan_build_dir/tools/popp_check" --oracle shard_vs_stream \
   --trials 8 --seed 19 --out "$tsan_build_dir"
 "$tsan_build_dir/tests/popp_tests" \
-  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardResume*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:-*ShardProcess*'
+  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardResume*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:-*ShardProcess*'
 
 echo "== serve_vs_cli oracle + concurrent serving tests under TSan =="
 # The daemon's accept loop, per-tenant locking and drain path under real
