@@ -1,6 +1,9 @@
 #include "check/generators.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "synth/distributions.h"
@@ -232,6 +235,85 @@ TrialCase GenerateTrialCase(const GeneratorOptions& options, uint64_t seed) {
   c.build_options = GenerateBuildOptions(c.transform_options, rng);
   c.plan_seed = rng.Next();
   return c;
+}
+
+std::vector<double> FormatEdgeValues() {
+  using Limits = std::numeric_limits<double>;
+  const double nan = Limits::quiet_NaN();
+  const double two53 = 9007199254740992.0;
+  return {0.0,
+          -0.0,
+          Limits::infinity(),
+          -Limits::infinity(),
+          nan,
+          std::copysign(nan, -1.0),
+          Limits::denorm_min(),
+          -Limits::denorm_min(),
+          Limits::min(),
+          Limits::max(),
+          -Limits::max(),
+          999999999999999.0,
+          -999999999999999.0,
+          999999999999999.5,
+          1e15,
+          -1e15,
+          std::nextafter(1e15, 0.0),
+          std::nextafter(1e15, 2e15),
+          two53 - 1.0,
+          two53,
+          two53 + 1.0,  // not representable: rounds to 2^53
+          two53 + 2.0,
+          0.1,
+          -0.1,
+          0.5,
+          1.0,
+          -1.0};
+}
+
+std::vector<double> GenerateFormatProbes(size_t n, Rng& rng) {
+  const std::vector<double> edges = FormatEdgeValues();
+  std::vector<double> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const uint64_t bits = rng.Next();
+    switch (rng.Next() % 8) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        out.push_back(std::bit_cast<double>(bits));
+        break;
+      case 4:  // integers in (-2e15, 2e15): both sides of the 1e15 switch
+        out.push_back(static_cast<double>(
+            static_cast<int64_t>(bits % 4000000000000000ull) -
+            2000000000000000ll));
+        break;
+      case 5: {  // small integers and halves, either sign
+        const double k = static_cast<double>(bits % 2000001) - 1000000.0;
+        out.push_back(rng.Bernoulli(0.5) ? k : k + 0.5);
+        break;
+      }
+      case 6: {  // reals over forty decades around 1
+        const double scale =
+            std::pow(10.0, static_cast<double>(bits % 41) - 20.0);
+        out.push_back((rng.Bernoulli(0.5) ? 1.0 : -1.0) * rng.Uniform01() *
+                      scale);
+        break;
+      }
+      default: {  // an edge value, a few ulps off
+        double v = edges[bits % edges.size()];
+        const double toward = rng.Bernoulli(0.5)
+                                  ? std::numeric_limits<double>::infinity()
+                                  : -std::numeric_limits<double>::infinity();
+        for (uint64_t step = (bits >> 32) % 4; step > 0; --step) {
+          v = std::nextafter(v, toward);
+        }
+        out.push_back(v);
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 Dataset SelectAttributes(const Dataset& data,

@@ -95,6 +95,19 @@ BuildOptions GenerateBuildOptions(const PiecewiseOptions& transform_options,
 /// equal cases).
 TrialCase GenerateTrialCase(const GeneratorOptions& options, uint64_t seed);
 
+/// The fixed edge list of the CSV cell formatter's contract: ±0, ±inf,
+/// NaN of either sign, the smallest denormal, DBL_MIN, DBL_MAX, the
+/// integral branch's switch (999999999999999, ±1e15 and their neighbours),
+/// 2^53 - 1 .. 2^53 + 2, and 0.1.
+std::vector<double> FormatEdgeValues();
+
+/// Samples `n` doubles for the formatter differential: half raw 64-bit
+/// patterns (every exponent, denormals, infinities and NaN payloads of
+/// either sign), the rest integers straddling the 1e15 switch, small
+/// integers and halves, reals across forty decades, and edge values
+/// nudged by a few ulps.
+std::vector<double> GenerateFormatProbes(size_t n, Rng& rng);
+
 /// Projects `data` onto the given attribute indices (order respected);
 /// labels and schema class names are preserved. Used by the shrinker to
 /// drop attributes. Requires at least one index, all in range.

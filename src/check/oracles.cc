@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -21,6 +23,7 @@
 #include "shard/pipeline.h"
 #include "stream/manifest.h"
 #include "util/crc64.h"
+#include "util/exact_double.h"
 #include "transform/compiled.h"
 #include "data/summary.h"
 #include "parallel/exec_policy.h"
@@ -638,6 +641,53 @@ OracleResult CheckColsVsCsv(const Dataset& original,
     return OracleResult::Fail(
         "cols-fed release is not byte-identical to the batch release" +
         where.str());
+  }
+  return OracleResult::Ok();
+}
+
+namespace {
+
+/// The snprintf spellings of the release formatter's rules. They survive
+/// only here, as the reference the to_chars formatter must reproduce byte
+/// for byte.
+std::string ReferenceExactDouble(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// The CSV cell rule; `exact` is ReferenceExactDouble(v).
+std::string ReferenceCsvCell(double v, const std::string& exact) {
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  return exact;
+}
+
+}  // namespace
+
+OracleResult CheckCsvFormat(const std::vector<double>& values) {
+  std::string cell;
+  std::string exact;
+  for (double v : values) {
+    cell.clear();
+    AppendCsvCell(&cell, v);
+    exact.clear();
+    AppendExactDouble(&exact, v);
+    const std::string want_exact = ReferenceExactDouble(v);
+    const std::string want_cell = ReferenceCsvCell(v, want_exact);
+    if (cell != want_cell || exact != want_exact) {
+      const bool cell_bad = cell != want_cell;
+      std::ostringstream oss;
+      oss << (cell_bad ? "AppendCsvCell" : "AppendExactDouble")
+          << " of the double with bits 0x" << std::hex
+          << std::bit_cast<uint64_t>(v) << " rendered '"
+          << (cell_bad ? cell : exact) << "', the snprintf reference '"
+          << (cell_bad ? want_cell : want_exact) << "'";
+      return OracleResult::Fail(oss.str());
+    }
   }
   return OracleResult::Ok();
 }
@@ -1917,6 +1967,22 @@ const std::vector<Oracle>& AllOracles() {
            return CheckColsVsCsv(ctx.c.data, ctx.plan, ctx.released,
                                  ctx.c.plan_seed, ctx.c.transform_options,
                                  chunk, threads);
+         }},
+        {"csv_format",
+         [](const TrialContext& ctx) {
+           // Case-seeded bit patterns, the edge list, and every cell of
+           // the case and of its release.
+           Rng rng(ctx.c.plan_seed);
+           std::vector<double> values = GenerateFormatProbes(8192, rng);
+           const std::vector<double> edges = FormatEdgeValues();
+           values.insert(values.end(), edges.begin(), edges.end());
+           for (const Dataset* d : {&ctx.c.data, &ctx.released}) {
+             for (size_t a = 0; a < d->NumAttributes(); ++a) {
+               values.insert(values.end(), d->Column(a).begin(),
+                             d->Column(a).end());
+             }
+           }
+           return CheckCsvFormat(values);
          }},
         {"compiled_vs_interpreted",
          [](const TrialContext& ctx) {

@@ -117,6 +117,14 @@ OracleResult CheckColsVsCsv(const Dataset& original,
                             const PiecewiseOptions& transform_options,
                             size_t chunk_rows, size_t num_threads);
 
+/// The release formatter contract (data/csv.h, util/exact_double.h): for
+/// every value, AppendCsvCell renders exactly the snprintf rule it
+/// replaced ("%.0f" for a finite integral |v| < 1e15, "%.17g" otherwise)
+/// and AppendExactDouble renders exactly "%.17g". The benchmark's and the
+/// other oracles' reference releases are formatted by the product itself,
+/// so this is the check that catches a formatter drifting.
+OracleResult CheckCsvFormat(const std::vector<double>& values);
+
 /// The compiled-kernel contract (transform/compiled.h): for every probe —
 /// active-domain values, inter-value midpoints, piece-gap interiors and
 /// out-of-hull offsets — the compiled Apply/Inverse (with and without the
@@ -226,7 +234,7 @@ struct Oracle {
 
 /// The registry the fuzz driver iterates: encode_bijective,
 /// global_invariant, label_runs, tree_equivalence, tree_equivalence_pruned,
-/// serialize_roundtrip, stream_vs_batch, cols_vs_csv,
+/// serialize_roundtrip, stream_vs_batch, cols_vs_csv, csv_format,
 /// compiled_vs_interpreted, parallel_determinism, fault_crash_safety,
 /// shard_vs_stream, serve_vs_cli, supervised_convergence.
 const std::vector<Oracle>& AllOracles();

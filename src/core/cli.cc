@@ -222,6 +222,18 @@ Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
   return ReadCsv(path);
 }
 
+/// ReadDataset for the commands that fit, mine or assess the data: a
+/// header-only input leaves them nothing to work on, so it is an invalid
+/// argument (exit 1), never an abort deeper in.
+Result<Dataset> ReadRows(const ParsedArgs& args, const std::string& path,
+                         const std::string& command) {
+  auto data = ReadDataset(args, path);
+  if (data.ok() && data.value().NumRows() == 0) {
+    return Status::InvalidArgument(command + ": the input has no data rows");
+  }
+  return data;
+}
+
 std::optional<BuildOptions> TreeFlags(const ParsedArgs& args,
                                       std::ostream& err) {
   BuildOptions options;
@@ -248,14 +260,10 @@ int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "encode needs <in.csv> <out.csv> <key.out>\n";
     return 2;
   }
-  auto data = ReadDataset(args, args.positional[0]);
+  auto data = ReadRows(args, args.positional[0], "encode");
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
-  }
-  if (data.value().NumRows() == 0) {
-    err << "encode: the input has no data rows to fit on\n";
-    return 1;
   }
   auto transform = TransformFlags(args, err);
   if (!transform) return 2;
@@ -421,7 +429,7 @@ int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   }
   auto options = TreeFlags(args, err);
   if (!options) return 2;
-  auto data = ReadDataset(args, args.positional[0]);
+  auto data = ReadRows(args, args.positional[0], "mine");
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
@@ -514,7 +522,7 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.flags.count("manifest") > 0) {
     return CmdVerifyManifest(args, out, err);
   }
-  auto data = ReadDataset(args, args.positional[0]);
+  auto data = ReadRows(args, args.positional[0], "verify");
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
@@ -543,7 +551,7 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "report needs <data.csv>\n";
     return 2;
   }
-  auto data = ReadDataset(args, args.positional[0]);
+  auto data = ReadRows(args, args.positional[0], "report");
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
@@ -565,7 +573,7 @@ int CmdHarden(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "harden needs <data.csv>\n";
     return 2;
   }
-  auto data = ReadDataset(args, args.positional[0]);
+  auto data = ReadRows(args, args.positional[0], "harden");
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());

@@ -1,23 +1,36 @@
 #include "data/csv.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "data/value.h"
 #include "fault/file.h"
+#include "util/exact_double.h"
 
 namespace popp {
 namespace {
 
-Result<double> ParseNumber(const std::string& text, size_t line_no) {
+/// Parses one attribute cell. Only finite numbers are data: strtod also
+/// accepts "nan", "inf" and "infinity" (any case, either sign), which no
+/// transform can fit, so they are rejected here with the cell's position.
+Result<double> ParseNumber(const std::string& text, size_t line_no,
+                           const std::string& attr_name) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
     std::ostringstream oss;
     oss << "line " << line_no << ": cannot parse number '" << text << "'";
+    return Status::InvalidArgument(oss.str());
+  }
+  if (!std::isfinite(v)) {
+    std::ostringstream oss;
+    oss << "line " << line_no << ", attribute '" << attr_name
+        << "': non-finite value '" << text
+        << "' (cells must be finite numbers)";
     return Status::InvalidArgument(oss.str());
   }
   return v;
@@ -44,15 +57,23 @@ std::string QuoteIfNeeded(const std::string& field, char delim) {
 
 }  // namespace
 
-std::string FormatCsvCell(AttrValue v) {
+void AppendCsvCell(std::string* out, AttrValue v) {
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+    // Fixed notation with no decimals is "%.0f": at most 16 digits and a
+    // sign here, and -0.0 keeps its sign ("-0").
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::fixed, 0);
+    out->append(buf, r.ptr);
+    return;
   }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  AppendExactDouble(out, v);
+}
+
+std::string FormatCsvCell(AttrValue v) {
+  std::string out;
+  AppendCsvCell(&out, v);
+  return out;
 }
 
 // ------------------------------------------------------------------------
@@ -208,7 +229,7 @@ Status CsvDatasetBuilder::Consume(const CsvRecord& record) {
   }
   row_.resize(attr_names_.size());
   for (size_t i = 0; i < attr_names_.size(); ++i) {
-    auto parsed = ParseNumber(record.fields[i], record.line);
+    auto parsed = ParseNumber(record.fields[i], record.line, attr_names_[i]);
     if (!parsed.ok()) return parsed.status();
     row_[i] = parsed.value();
   }
@@ -272,22 +293,43 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
   return builder.TakeChunk();
 }
 
-std::string ToCsvString(const Dataset& data, const CsvOptions& options) {
-  std::ostringstream out;
+void AppendCsv(const Dataset& data, const CsvOptions& options,
+               std::string* out) {
   const char d = options.delimiter;
+  const size_t num_attrs = data.NumAttributes();
+  const size_t num_rows = data.NumRows();
+  // A first guess (short cells, short labels); growth doubles from there.
+  out->reserve(out->size() + num_rows * (num_attrs + 1) * 8);
   if (options.has_header) {
-    for (size_t a = 0; a < data.NumAttributes(); ++a) {
-      out << QuoteIfNeeded(data.schema().AttributeName(a), d) << d;
+    for (size_t a = 0; a < num_attrs; ++a) {
+      out->append(QuoteIfNeeded(data.schema().AttributeName(a), d));
+      out->push_back(d);
     }
-    out << "class\n";
+    out->append("class\n");
   }
-  for (size_t r = 0; r < data.NumRows(); ++r) {
-    for (size_t a = 0; a < data.NumAttributes(); ++a) {
-      out << FormatCsvCell(data.Value(r, a)) << d;
+  // Each label's field and line break, quoted once per class.
+  std::vector<std::string> label_tails;
+  label_tails.reserve(data.NumClasses());
+  for (const std::string& name : data.schema().class_names()) {
+    label_tails.push_back(QuoteIfNeeded(name, d) + '\n');
+  }
+  std::vector<const AttrValue*> columns(num_attrs);
+  for (size_t a = 0; a < num_attrs; ++a) {
+    columns[a] = data.Column(a).data();
+  }
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t a = 0; a < num_attrs; ++a) {
+      AppendCsvCell(out, columns[a][r]);
+      out->push_back(d);
     }
-    out << QuoteIfNeeded(data.schema().ClassName(data.Label(r)), d) << "\n";
+    out->append(label_tails[static_cast<size_t>(data.labels()[r])]);
   }
-  return out.str();
+}
+
+std::string ToCsvString(const Dataset& data, const CsvOptions& options) {
+  std::string out;
+  AppendCsv(data, options, &out);
+  return out;
 }
 
 Status WriteCsv(const Dataset& data, const std::string& path,

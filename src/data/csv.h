@@ -115,7 +115,8 @@ class CsvDatasetBuilder {
 };
 
 /// Reads a dataset from a CSV file. The last column is the class label
-/// (string); all preceding columns must parse as numbers. The file is
+/// (string); all preceding columns must parse as finite numbers ("nan",
+/// "inf" and "infinity" are rejected with the line and attribute). The file is
 /// streamed through the incremental parser, never materialized whole.
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvOptions& options = {});
@@ -128,15 +129,25 @@ Result<Dataset> ParseCsv(const std::string& text,
 Status WriteCsv(const Dataset& data, const std::string& path,
                 const CsvOptions& options = {});
 
-/// Serializes `data` to a CSV string. Names containing the delimiter, a
-/// quote, or a line break are quoted (with "" escaping) so every dataset
-/// round-trips.
+/// Serializes `data` to a CSV string (AppendCsv into a fresh string).
 std::string ToCsvString(const Dataset& data, const CsvOptions& options = {});
 
-/// Exact serialization for one data cell: integral values print compactly,
-/// everything else with 17 significant digits so IEEE-754 doubles
-/// round-trip bit-exactly. Exposed so the streaming writer emits byte-wise
-/// the same release a batch WriteCsv would.
+/// The release formatter: appends the CSV text of `data` — the header line
+/// when `options.has_header`, then every row — to `*out`. Names containing
+/// the delimiter, a quote, or a line break are quoted (with "" escaping) so
+/// every dataset round-trips. Class labels are quoted once per class, not
+/// once per row.
+void AppendCsv(const Dataset& data, const CsvOptions& options,
+               std::string* out);
+
+/// Appends the exact serialization of one data cell: a finite integral
+/// value with |v| < 1e15 prints with no decimals ("%.0f", so -0.0 prints
+/// "-0"); every other value prints with 17 significant digits
+/// (AppendExactDouble, "%.17g"), so IEEE-754 doubles round-trip
+/// bit-exactly.
+void AppendCsvCell(std::string* out, AttrValue v);
+
+/// AppendCsvCell into a fresh string (diagnostics and tests).
 std::string FormatCsvCell(AttrValue v);
 
 }  // namespace popp

@@ -149,14 +149,19 @@ std::optional<ReplyBody> DeadlineReply(const RequestContext& context,
 }
 
 /// Parses the request's dataset bytes, sniffing the popp-cols magic so the
-/// binary container takes the PR 7 zero-copy validation path and anything
-/// else goes through the incremental CSV tokenizer.
+/// binary container takes the zero-copy validation path and anything else
+/// goes through the incremental CSV tokenizer. Every op fits its plan on
+/// these rows, so a header-only dataset is rejected here like a malformed
+/// one: it must not reach a fit and take the daemon down.
 Result<Dataset> ParseRequestDataset(const std::string& bytes) {
   if (bytes.empty()) {
     return Status::InvalidArgument("request carries no dataset bytes");
   }
-  if (LooksLikeCols(bytes)) return ParseCols(bytes);
-  return ParseCsv(bytes);
+  auto data = LooksLikeCols(bytes) ? ParseCols(bytes) : ParseCsv(bytes);
+  if (data.ok() && data.value().NumRows() == 0) {
+    return Status::InvalidArgument("the request dataset has no data rows");
+  }
+  return data;
 }
 
 /// Fetches the tenant's plan for (data's schema, seed, policy), fitting

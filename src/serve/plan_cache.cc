@@ -1,22 +1,13 @@
 #include "serve/plan_cache.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "util/crc64.h"
+#include "util/exact_double.h"
 #include "util/status.h"
 
 namespace popp::serve {
 namespace {
-
-/// 17-significant-digit rendering, the same discipline the plan serializer
-/// uses: distinct doubles render distinctly, so distinct knob settings
-/// cannot collide into one policy fingerprint.
-std::string FmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void AppendDelimited(std::string* out, const std::string& piece) {
   out->append(std::to_string(piece.size()));
@@ -44,6 +35,8 @@ uint64_t SchemaFingerprint(const Schema& schema) {
 }
 
 std::string PolicyFingerprint(const PiecewiseOptions& o) {
+  // Knobs render exactly (ExactDouble), so distinct settings cannot
+  // collide into one fingerprint.
   std::string s = "policy=" + ToString(o.policy);
   s += " w=" + std::to_string(o.min_breakpoints);
   s += " minmono=" + std::to_string(o.min_mono_width);
@@ -55,17 +48,17 @@ std::string PolicyFingerprint(const PiecewiseOptions& o) {
   s += o.family.allow_polynomial ? 'P' : '-';
   s += o.family.allow_log ? 'G' : '-';
   s += o.family.allow_sqrt_log ? 'S' : '-';
-  s += " pow=" + FmtDouble(o.family.min_power) + ".." +
-       FmtDouble(o.family.max_power);
-  s += " alpha=" + FmtDouble(o.family.min_alpha) + ".." +
-       FmtDouble(o.family.max_alpha);
-  s += " antiprob=" + FmtDouble(o.family.anti_monotone_prob);
-  s += " width=" + FmtDouble(o.out_width_factor_min) + ".." +
-       FmtDouble(o.out_width_factor_max);
-  s += " offset=" + FmtDouble(o.out_offset_min) + ".." +
-       FmtDouble(o.out_offset_max);
-  s += " gap=" + FmtDouble(o.gap_fraction);
-  s += " skew=" + FmtDouble(o.width_split_skew);
+  s += " pow=" + ExactDouble(o.family.min_power) + ".." +
+       ExactDouble(o.family.max_power);
+  s += " alpha=" + ExactDouble(o.family.min_alpha) + ".." +
+       ExactDouble(o.family.max_alpha);
+  s += " antiprob=" + ExactDouble(o.family.anti_monotone_prob);
+  s += " width=" + ExactDouble(o.out_width_factor_min) + ".." +
+       ExactDouble(o.out_width_factor_max);
+  s += " offset=" + ExactDouble(o.out_offset_min) + ".." +
+       ExactDouble(o.out_offset_max);
+  s += " gap=" + ExactDouble(o.gap_fraction);
+  s += " skew=" + ExactDouble(o.width_split_skew);
   return s;
 }
 

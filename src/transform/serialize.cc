@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "fault/file.h"
 #include "transform/piecewise.h"
+#include "util/exact_double.h"
 #include "util/integrity.h"
 
 namespace popp {
 namespace {
-
-/// Renders a binary64 exactly: 17 significant decimal digits uniquely
-/// identify every double, and strtod's correctly-rounded parse maps the
-/// text back to the identical bits — including denormals, ±huge values and
-/// signed zero. Piece domain/output endpoints therefore round-trip
-/// bit-for-bit through popp-plan v2 (proved by the adversarial-endpoint
-/// golden tests).
-std::string Num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Minimal whitespace tokenizer with typed reads and error context.
 ///
@@ -54,9 +42,9 @@ class Reader {
     return Status::Ok();
   }
 
-  /// Accepts anything strtod does — the %.17g decimals Num emits and also
-  /// C99 hex-floats ("0x1.91eb851eb851fp+1"), so externally produced keys
-  /// may spell endpoints in either exact form.
+  /// Accepts anything strtod does — the %.17g decimals ExactDouble emits
+  /// and also C99 hex-floats ("0x1.91eb851eb851fp+1"), so externally
+  /// produced keys may spell endpoints in either exact form.
   Result<double> Number(const char* what) {
     auto word = Word(what);
     if (!word.ok()) return word.status();
@@ -95,14 +83,16 @@ void SerializeFunction(const Transformation& fn, std::ostringstream& out) {
     const auto& perm = static_cast<const PermutationFunction&>(fn);
     out << "perm " << perm.size() << "\n";
     for (size_t i = 0; i < perm.size(); ++i) {
-      out << Num(perm.domain()[i]) << " " << Num(perm.image()[i]) << "\n";
+      out << ExactDouble(perm.domain()[i]) << " "
+          << ExactDouble(perm.image()[i]) << "\n";
     }
     return;
   }
   const auto& rescaled = static_cast<const RescaledFunction&>(fn);
   out << "rescaled " << rescaled.shape().Serialize() << " "
-      << Num(rescaled.dlo()) << " " << Num(rescaled.dhi()) << " "
-      << Num(rescaled.olo()) << " " << Num(rescaled.ohi()) << " "
+      << ExactDouble(rescaled.dlo()) << " " << ExactDouble(rescaled.dhi())
+      << " " << ExactDouble(rescaled.olo()) << " "
+      << ExactDouble(rescaled.ohi()) << " "
       << (rescaled.anti_monotone() ? 1 : 0) << "\n";
 }
 
@@ -155,7 +145,8 @@ Result<std::unique_ptr<Transformation>> ParseFunction(Reader& reader) {
     if (token != "linear") {
       auto param = reader.Number("shape parameter");
       if (!param.ok()) return param.status();
-      token += " " + Num(param.value());
+      token += ' ';
+      AppendExactDouble(&token, param.value());
     }
     auto shape = ParseShape(token);
     if (!shape.ok()) return shape.status();
@@ -314,8 +305,9 @@ std::string SerializePlan(const TransformPlan& plan) {
         << " global_anti " << (f.global_anti_monotone() ? 1 : 0) << "\n";
     for (size_t p = 0; p < f.NumPieces(); ++p) {
       const auto& piece = f.piece(p);
-      out << "piece " << Num(piece.domain_lo) << " " << Num(piece.domain_hi)
-          << " " << Num(piece.out_lo) << " " << Num(piece.out_hi) << " "
+      out << "piece " << ExactDouble(piece.domain_lo) << " "
+          << ExactDouble(piece.domain_hi) << " " << ExactDouble(piece.out_lo)
+          << " " << ExactDouble(piece.out_hi) << " "
           << (piece.bijective ? 1 : 0) << "\n";
       SerializeFunction(*piece.fn, out);
     }

@@ -48,7 +48,13 @@ class CliTest : public testing::Test {
   void SetUp() override {
     Rng rng(5);
     data_ = GenerateCovtypeLike(SmallCovtypeSpec(600), rng);
-    csv_path_ = TempPath("data.csv");
+    // Per-test name: ctest runs the fixture's tests as concurrent
+    // processes, and a shared path (and its ".tmp" staging file) lets one
+    // test's SetUp rewrite the input another test is reading.
+    csv_path_ = TempPath(
+        std::string(
+            testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        "_data.csv");
     ASSERT_TRUE(WriteCsv(data_, csv_path_).ok());
   }
 
@@ -155,6 +161,71 @@ TEST(CliBasicsTest, EncodeRejectsAnInputWithNoRows) {
       {"encode", empty, TempPath("no_rows_out.csv"), TempPath("no_rows.key")});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("no data rows"), std::string::npos) << r.err;
+}
+
+/// A header-only CSV: a schema and no rows to fit, mine or assess.
+std::string WriteHeaderOnlyCsv(const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(fault::WriteFileAtomic(path, "a,b,class\n").ok());
+  return path;
+}
+
+TEST(CliBasicsTest, VerifyRejectsAnInputWithNoRows) {
+  const CliResult r = RunPopp({"verify", WriteHeaderOnlyCsv("nr_v.csv")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("verify: the input has no data rows"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliBasicsTest, ReportRejectsAnInputWithNoRows) {
+  const CliResult r = RunPopp({"report", WriteHeaderOnlyCsv("nr_r.csv")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("report: the input has no data rows"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliBasicsTest, HardenRejectsAnInputWithNoRows) {
+  const CliResult r = RunPopp({"harden", WriteHeaderOnlyCsv("nr_h.csv")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("harden: the input has no data rows"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliBasicsTest, MineRejectsAnInputWithNoRows) {
+  const std::string tree = TempPath("nr_m.tree");
+  const CliResult r =
+      RunPopp({"mine", WriteHeaderOnlyCsv("nr_m.csv"), tree});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("mine: the input has no data rows"), std::string::npos)
+      << r.err;
+  EXPECT_FALSE(fault::FileExists(tree));
+}
+
+TEST(CliBasicsTest, NonFiniteCellsAreRejectedAtIngestion) {
+  // strtod accepts these spellings; none is data. Before ingestion
+  // rejected them a "nan" cell hung `encode` and an "inf" cell aborted it.
+  const std::vector<std::string> spellings = {
+      "nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+Inf", "INFINITY",
+      "-Infinity"};
+  for (const std::string& cell : spellings) {
+    const std::string in = TempPath("nonfinite.csv");
+    ASSERT_TRUE(fault::WriteFileAtomic(in, "a,b,class\n1,2,x\n3," + cell +
+                                               ",y\n5,6,x\n7,8,y\n")
+                    .ok());
+    const std::string want =
+        "line 3, attribute 'b': non-finite value '" + cell + "'";
+    for (const std::string cmd : {"encode", "stream-release"}) {
+      const std::string out = TempPath("nonfinite_out.csv");
+      const CliResult r =
+          RunPopp({cmd, in, out, TempPath("nonfinite.key"), "--seed", "3"});
+      EXPECT_EQ(r.code, 1) << cmd << " " << cell;
+      EXPECT_NE(r.err.find(want), std::string::npos) << cmd << ": " << r.err;
+      EXPECT_FALSE(fault::FileExists(out)) << cmd << " " << cell;
+    }
+  }
 }
 
 TEST(CliBasicsTest, UnknownFlagIsAUsageError) {

@@ -623,6 +623,50 @@ TEST_F(ServeEndToEndTest, SaveIsRefusedWithoutAConfiguredSaveDir) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+TEST_F(ServeEndToEndTest, InputsNoFitCanUseAreRejectedAndTheDaemonLives) {
+  // A non-finite cell once reached the fit and aborted the daemon for
+  // every tenant; a header-only dataset did the same. Both must come back
+  // as kInvalidArgument replies, and the daemon must keep answering.
+  ServeOptions options;
+  options.socket_path = TempSocketPath("badcells");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+
+  const std::string header_only = "a,b,class\n";
+  for (const std::string& dataset :
+       {std::string("a,b,class\n1,2,x\n3,inf,y\n5,6,x\n7,8,y\n"),
+        std::string("a,b,class\n1,2,x\n3,-NaN,y\n5,6,x\n7,8,y\n"),
+        header_only}) {
+    for (Tag op : {Tag::kEncode, Tag::kFit}) {
+      RequestBody request;
+      request.options = OptionsText(3, 1);
+      request.dataset = dataset;
+      auto reply = client.Call(op, "t", request);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply.value().code, StatusCode::kInvalidArgument)
+          << reply.value().text;
+      EXPECT_NE(reply.value().text.find(dataset == header_only
+                                            ? "no data rows"
+                                            : "line 3, attribute 'b'"),
+                std::string::npos)
+          << reply.value().text;
+    }
+  }
+  auto health = client.Call(Tag::kHealth, "other", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().text, "healthy");
+  // A good request on the same connection still encodes.
+  RequestBody good;
+  good.options = OptionsText(3, 1);
+  good.dataset = csv_bytes_;
+  auto reply = client.Call(Tag::kEncode, "t", good);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().ok()) << reply.value().text;
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
 TEST_F(ServeEndToEndTest, SaveIsConfinedToThePerTenantDirectory) {
   const std::string save_dir = testing::TempDir() + "popp_srv_saves_" +
                                std::to_string(::getpid());

@@ -91,7 +91,9 @@ std::string StreamReleaseBytes(const std::string& input_path,
   auto reader = stream::MakeChunkReader(input_path,
                                         stream::DatasetFormat::kAuto, {});
   EXPECT_TRUE(reader.ok()) << reader.status().ToString();
-  const std::string out = TempPath("stream_golden.csv");
+  // Next to the input, whose name is unique per test: ctest runs the
+  // tests as concurrent processes, so a shared golden path races.
+  const std::string out = input_path + ".stream_golden.csv";
   stream::ResumableCsvChunkWriter writer(out, {}, /*resume=*/false);
   auto plan = stream::StreamingCustodian::Release(*reader.value(), writer,
                                                   options);

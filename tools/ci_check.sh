@@ -6,9 +6,11 @@
 # Stage 1 builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
 # ctest, then hammers the invariant oracles — including stream_vs_batch,
 # the streamed-release == batch-release contract — with a bounded
-# popp_check run, plus a bounded compiled_vs_interpreted run: the product
-# encodes only through the compiled kernels, so that oracle is the one
-# check that they still match the interpreted definition. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
+# popp_check run, plus bounded csv_format (the to_chars release formatter
+# vs the snprintf rule it replaced; run in both stages) and
+# compiled_vs_interpreted runs: the product encodes only through the
+# compiled kernels, so that oracle is the one check that they still match
+# the interpreted definition. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
 # runs the parallel execution layer's tests, the streaming release tests,
 # the compiled-kernel tests, the frontier tree builder's stress battery
 # (which sweeps 1/2/3/7/8-thread builds against the serial bytes), and
@@ -65,6 +67,14 @@ echo "== cols_vs_csv oracle under ASan (bounded) =="
 # identity, and a release fed from either format is byte-identical.
 "$build_dir/tools/popp_check" --oracle cols_vs_csv \
   --trials 50 --seed 13 --out "$build_dir"
+
+echo "== csv_format oracle under ASan (bounded) =="
+# The release formatter (std::to_chars) against the snprintf rule it
+# replaced, over random bit patterns and edge values. Every other oracle's
+# reference release is formatted by the product itself, so this is the
+# gate that catches a formatter drifting.
+"$build_dir/tools/popp_check" --oracle csv_format \
+  --trials 100 --seed 31 --out "$build_dir"
 
 echo "== compiled_vs_interpreted oracle under ASan (bounded) =="
 # The product encodes only through the compiled kernels; the interpreted
@@ -173,6 +183,10 @@ echo "== compiled_vs_interpreted oracle under TSan (bounded) =="
 echo "== cols_vs_csv oracle under TSan (bounded) =="
 "$tsan_build_dir/tools/popp_check" --oracle cols_vs_csv \
   --trials 25 --seed 7 --out "$tsan_build_dir"
+
+echo "== csv_format oracle under TSan (bounded) =="
+"$tsan_build_dir/tools/popp_check" --oracle csv_format \
+  --trials 50 --seed 7 --out "$tsan_build_dir"
 
 echo "== shard_vs_stream oracle + sharded-release tests under TSan =="
 # Thread-mode shard workers under real concurrency: the summarize/encode

@@ -18,8 +18,9 @@ constexpr const char* kUsage = R"(usage: popp_check [options]
 Runs seeded randomized trials of the popp invariant oracles
 (encode_bijective, global_invariant, label_runs, tree_equivalence,
 tree_equivalence_pruned, serialize_roundtrip, stream_vs_batch,
-cols_vs_csv, compiled_vs_interpreted, fault_crash_safety,
-shard_vs_stream, serve_vs_cli, parallel_determinism) and prints a pass/fail
+cols_vs_csv, csv_format, compiled_vs_interpreted, fault_crash_safety,
+shard_vs_stream, serve_vs_cli, supervised_convergence,
+parallel_determinism) and prints a pass/fail
 table. On the first failure the case is shrunk to a minimal reproducer
 and written as <out>/popp_check_repro.{csv,recipe}.
 
