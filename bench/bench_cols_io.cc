@@ -30,6 +30,7 @@
 #include "experiment_common.h"
 #include "stream/chunk_io.h"
 #include "stream/cols_io.h"
+#include "stream/manifest.h"
 #include "stream/streaming_custodian.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
@@ -193,7 +194,7 @@ int Run() {
     stream::StreamOptions options;
     options.chunk_rows = kChunkRows;
     options.seed = env.seed;
-    stream::CsvChunkWriter writer(output_path);
+    stream::ResumableCsvChunkWriter writer(output_path);
     const auto t0 = std::chrono::steady_clock::now();
     auto plan = stream::StreamingCustodian::Release(*reader.value(), writer,
                                                     options);

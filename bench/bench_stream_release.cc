@@ -25,6 +25,7 @@
 #include "data/csv.h"
 #include "experiment_common.h"
 #include "stream/chunk_io.h"
+#include "stream/manifest.h"
 #include "stream/streaming_custodian.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
@@ -101,7 +102,7 @@ int Run() {
       options.seed = env.seed;
       options.exec = ExecPolicy{threads};
       stream::CsvChunkReader reader(input_path);
-      stream::CsvChunkWriter writer(output_path);
+      stream::ResumableCsvChunkWriter writer(output_path);
       stream::StreamStats stats;
       const auto t0 = std::chrono::steady_clock::now();
       auto plan =

@@ -224,13 +224,18 @@ Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
 
 /// ReadDataset for the commands that fit, mine or assess the data: a
 /// header-only input leaves them nothing to work on, so it is an invalid
-/// argument (exit 1), never an abort deeper in.
+/// argument (exit 1), never an abort deeper in. Commands that fit a plan
+/// pass its options as `fit`, which also rejects a column whose range the
+/// fit cannot represent (CheckFitRanges).
 Result<Dataset> ReadRows(const ParsedArgs& args, const std::string& path,
-                         const std::string& command) {
+                         const std::string& command,
+                         const PiecewiseOptions* fit = nullptr) {
   auto data = ReadDataset(args, path);
-  if (data.ok() && data.value().NumRows() == 0) {
+  if (!data.ok()) return data;
+  if (data.value().NumRows() == 0) {
     return Status::InvalidArgument(command + ": the input has no data rows");
   }
+  if (fit != nullptr) POPP_RETURN_IF_ERROR(CheckFitRanges(data.value(), *fit));
   return data;
 }
 
@@ -260,13 +265,13 @@ int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "encode needs <in.csv> <out.csv> <key.out>\n";
     return 2;
   }
-  auto data = ReadRows(args, args.positional[0], "encode");
+  auto transform = TransformFlags(args, err);
+  if (!transform) return 2;
+  auto data = ReadRows(args, args.positional[0], "encode", &*transform);
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
   }
-  auto transform = TransformFlags(args, err);
-  if (!transform) return 2;
   CustodianOptions options;
   options.transform = *transform;
   options.seed = FlagInt(args, "seed", 1);
@@ -522,15 +527,15 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   if (args.flags.count("manifest") > 0) {
     return CmdVerifyManifest(args, out, err);
   }
-  auto data = ReadRows(args, args.positional[0], "verify");
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
   auto transform = TransformFlags(args, err);
   if (!transform) return 2;
   auto tree = TreeFlags(args, err);
   if (!tree) return 2;
+  auto data = ReadRows(args, args.positional[0], "verify", &*transform);
+  if (!data.ok()) {
+    err << data.status().ToString() << "\n";
+    return ExitFor(data.status());
+  }
   CustodianOptions options;
   options.seed = FlagInt(args, "seed", 1);
   options.transform = *transform;
@@ -551,7 +556,8 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "report needs <data.csv>\n";
     return 2;
   }
-  auto data = ReadRows(args, args.positional[0], "report");
+  const PiecewiseOptions transform;
+  auto data = ReadRows(args, args.positional[0], "report", &transform);
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
@@ -573,7 +579,8 @@ int CmdHarden(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "harden needs <data.csv>\n";
     return 2;
   }
-  auto data = ReadRows(args, args.positional[0], "harden");
+  const PiecewiseOptions transform;
+  auto data = ReadRows(args, args.positional[0], "harden", &transform);
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
@@ -584,7 +591,7 @@ int CmdHarden(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   targets.trials = FlagInt(args, "trials", 21);
   targets.exec = ExecFlags(args);
   const auto decisions = RecommendPerAttributeOptions(
-      data.value(), PiecewiseOptions{}, targets, FlagInt(args, "seed", 1));
+      data.value(), transform, targets, FlagInt(args, "seed", 1));
   out << RenderHardeningDecisions(data.value(), decisions);
   return 0;
 }

@@ -151,16 +151,21 @@ std::optional<ReplyBody> DeadlineReply(const RequestContext& context,
 /// Parses the request's dataset bytes, sniffing the popp-cols magic so the
 /// binary container takes the zero-copy validation path and anything else
 /// goes through the incremental CSV tokenizer. Every op fits its plan on
-/// these rows, so a header-only dataset is rejected here like a malformed
-/// one: it must not reach a fit and take the daemon down.
-Result<Dataset> ParseRequestDataset(const std::string& bytes) {
+/// these rows with the request's `transform` options, so a header-only
+/// dataset or a column whose range the fit cannot represent is rejected
+/// here like a malformed one: it must not reach a fit and take the daemon
+/// down.
+Result<Dataset> ParseRequestDataset(const std::string& bytes,
+                                    const PiecewiseOptions& transform) {
   if (bytes.empty()) {
     return Status::InvalidArgument("request carries no dataset bytes");
   }
   auto data = LooksLikeCols(bytes) ? ParseCols(bytes) : ParseCsv(bytes);
-  if (data.ok() && data.value().NumRows() == 0) {
+  if (!data.ok()) return data;
+  if (data.value().NumRows() == 0) {
     return Status::InvalidArgument("the request dataset has no data rows");
   }
+  POPP_RETURN_IF_ERROR(CheckFitRanges(data.value(), transform));
   return data;
 }
 
@@ -190,7 +195,8 @@ ReplyBody OpFit(Workspace& workspace, const RequestBody& request,
                 const OpConfig& config, const RequestContext& context) {
   auto options = ParseOptions(request.options, config);
   if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
+  auto data =
+      ParseRequestDataset(request.dataset, options.value().transform);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
     return *late;
@@ -233,7 +239,8 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
                    const OpConfig& config, const RequestContext& context) {
   auto options = ParseOptions(request.options, config);
   if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
+  auto data =
+      ParseRequestDataset(request.dataset, options.value().transform);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
     return *late;
@@ -277,7 +284,8 @@ ReplyBody OpDecode(Workspace& workspace, const RequestBody& request,
   }
   auto tree = ParseTree(request.extra);
   if (!tree.ok()) return ReplyBody::Error(tree.status());
-  auto data = ParseRequestDataset(request.dataset);
+  auto data =
+      ParseRequestDataset(request.dataset, options.value().transform);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
     return *late;
@@ -302,7 +310,8 @@ ReplyBody OpVerify(Workspace& workspace, const RequestBody& request,
                    const OpConfig& config, const RequestContext& context) {
   auto options = ParseOptions(request.options, config);
   if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
+  auto data =
+      ParseRequestDataset(request.dataset, options.value().transform);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
     return *late;
@@ -329,7 +338,8 @@ ReplyBody OpRisk(Workspace& workspace, const RequestBody& request,
                  const OpConfig& config, const RequestContext& context) {
   auto options = ParseOptions(request.options, config);
   if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
+  auto data =
+      ParseRequestDataset(request.dataset, options.value().transform);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
     return *late;

@@ -19,7 +19,6 @@
 #include "stream/streaming_custodian.h"
 #include "transform/serialize.h"
 #include "util/crc64.h"
-#include "util/rng.h"
 
 namespace popp::shard {
 namespace {
@@ -65,42 +64,9 @@ stream::StreamOptions WorkerStreamOptions(const ShardOptions& options,
   return so;
 }
 
-/// Phase 1 worker: summarize the rows of one shard range. Also records
-/// the shard-local class dictionary (the last chunk's schema carries every
-/// class the worker has seen, in append-only first-appearance order).
-Status SummarizeShard(const std::string& input_path,
-                      stream::DatasetFormat format, const CsvOptions& csv,
-                      size_t chunk_rows, ShardSummary* out,
-                      resil::HeartbeatWriter* hb = nullptr) {
-  auto inner = stream::MakeChunkReader(input_path, format, csv);
-  if (!inner.ok()) return inner.status();
-  RangeChunkReader reader(std::move(inner).value(), out->range);
-  std::optional<IncrementalSummary> summary;
-  std::vector<std::string> class_names;
-  for (;;) {
-    if (hb != nullptr) hb->Beat();
-    auto next = reader.NextChunk(chunk_rows);
-    if (!next.ok()) return next.status();
-    const Dataset& chunk = next.value();
-    if (chunk.NumRows() == 0) break;
-    if (!summary.has_value()) {
-      summary.emplace(chunk.NumAttributes());
-    }
-    summary->Absorb(chunk);
-    class_names = chunk.schema().class_names();
-  }
-  out->summary = std::move(summary);
-  out->class_names = std::move(class_names);
-  return Status::Ok();
-}
-
-/// Phase 2 worker: encode the rows of one shard range with the fitted
-/// plan into the shard's own journaled, resumable output file. Shard 0
-/// writes the CSV header, so concatenating the shard files reproduces the
-/// single-process release byte for byte.
 /// ChunkReader decorator that emits one heartbeat per pull, so a
-/// supervised encode worker proves forward progress at chunk granularity
-/// without the stream layer knowing about supervision.
+/// supervised worker proves forward progress at chunk granularity without
+/// the stream layer knowing about supervision.
 class BeatingChunkReader : public stream::ChunkReader {
  public:
   BeatingChunkReader(stream::ChunkReader* inner, resil::HeartbeatWriter* hb)
@@ -121,13 +87,17 @@ class BeatingChunkReader : public stream::ChunkReader {
   resil::HeartbeatWriter* hb_;
 };
 
+/// Phase 2 worker: encode the rows of one shard range with the fitted
+/// plan into the shard's own journaled, resumable output file. Shard 0
+/// writes the CSV header, so concatenating the shard files reproduces the
+/// single-process release byte for byte.
 Status EncodeShard(const std::string& input_path, const std::string& out_path,
-                   stream::DatasetFormat format, const CsvOptions& csv,
-                   const ShardOptions& options, const ExecPolicy& exec,
-                   const TransformPlan& plan, size_t index,
-                   const ShardRange& range, stream::StreamStats* stats,
-                   size_t attempt = 0, resil::HeartbeatWriter* hb = nullptr) {
-  auto inner = stream::MakeChunkReader(input_path, format, csv);
+                   stream::DatasetFormat format, const ShardOptions& options,
+                   const ExecPolicy& exec, const TransformPlan& plan,
+                   size_t index, const ShardRange& range,
+                   stream::StreamStats* stats, size_t attempt,
+                   resil::HeartbeatWriter* hb) {
+  auto inner = stream::MakeChunkReader(input_path, format, options.csv);
   if (!inner.ok()) return inner.status();
   RangeChunkReader reader(std::move(inner).value(), range);
   BeatingChunkReader beating(&reader, hb);
@@ -150,21 +120,11 @@ Status EncodeShard(const std::string& input_path, const std::string& out_path,
   return released.status();
 }
 
-/// Runs `body(k)` for every shard. One shard runs inline on the calling
-/// thread with the full thread budget; several run as ThreadPool workers,
-/// one per shard up to the hardware thread count, whatever `exec` says —
-/// shards are the parallelism, and their own inner ParallelFor calls
-/// execute inline. Output bits are identical either way.
-void RunShardWorkers(const ShardOptions& options,
-                     const std::function<void(size_t)>& body) {
-  if (options.num_shards == 1) {
-    body(0);
-    return;
-  }
-  const size_t threads = std::min(
-      options.num_shards, ExecPolicy::Hardware().ResolvedThreads());
-  ParallelFor(ExecPolicy{threads}, options.num_shards, body);
-}
+/// One shard phase's worker body: does shard `shard`'s share of the
+/// phase. `attempt` > 0 only for a supervised restart of a forked worker;
+/// `hb` is non-null only inside a forked worker.
+using ShardBody = std::function<Status(size_t shard, size_t attempt,
+                                       resil::HeartbeatWriter* hb)>;
 
 /// Maps a worker's Status onto a process exit code (the CLI taxonomy) and
 /// back — a forked worker's only channel to the coordinator.
@@ -214,12 +174,9 @@ Status WorkerExitStatus(size_t index, int code) {
 /// journal-resume mode. After
 /// `max_worker_restarts` the shard is quarantined and the release fails
 /// with the shard's full failure history.
-Status RunShardProcesses(
-    const ShardOptions& options, const std::string& out_path,
-    const char* phase,
-    const std::function<Status(size_t shard, size_t attempt,
-                               resil::HeartbeatWriter* hb)>& body,
-    ShardStats* stats) {
+Status RunShardProcesses(const ShardOptions& options,
+                         const std::string& out_path, const char* phase,
+                         const ShardBody& body, ShardStats* stats) {
   std::vector<resil::WorkerTask> tasks(options.num_shards);
   for (size_t k = 0; k < options.num_shards; ++k) {
     tasks[k].name =
@@ -255,6 +212,35 @@ Status RunShardProcesses(
     stats->worker_restarts += report.worker_restarts;
   }
   return status;
+}
+
+/// The one dispatcher of both shard phases: runs `body(k, attempt, hb)` for
+/// every shard k. Thread mode runs one shard inline on the calling thread,
+/// several as ThreadPool workers — one per shard up to the hardware thread
+/// count, whatever `options.exec` says: shards are the parallelism, and
+/// their own inner ParallelFor calls execute inline — always with attempt
+/// 0 and no heartbeat; the first failed shard's status wins. Process mode
+/// forks supervised children (RunShardProcesses). Output bits are
+/// identical either way.
+Status RunShardPhase(const ShardOptions& options, const std::string& out_path,
+                     const char* phase, const ShardBody& body,
+                     ShardStats* stats) {
+  if (options.workers_mode == WorkersMode::kProcess) {
+    return RunShardProcesses(options, out_path, phase, body, stats);
+  }
+  std::vector<Status> statuses(options.num_shards);
+  const auto run = [&](size_t k) { statuses[k] = body(k, 0, nullptr); };
+  if (options.num_shards == 1) {
+    run(0);
+  } else {
+    const size_t threads = std::min(
+        options.num_shards, ExecPolicy::Hardware().ResolvedThreads());
+    ParallelFor(ExecPolicy{threads}, options.num_shards, run);
+  }
+  for (const Status& status : statuses) {
+    POPP_RETURN_IF_ERROR(status);
+  }
+  return Status::Ok();
 }
 
 /// Builds the global class dictionary (union of the shard dictionaries in
@@ -492,45 +478,43 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
     }
   }
 
-  // Phase 1: summarize every shard in parallel.
+  // Phase 1: summarize every shard in parallel. Forked workers hand their
+  // summaries back through `.sum` artifacts; thread workers fill their
+  // slot in place.
   const auto summarize_start = Clock::now();
+  const bool forked = options.workers_mode == WorkersMode::kProcess;
   std::vector<ShardSummary> summaries(options.num_shards);
   for (size_t k = 0; k < options.num_shards; ++k) {
     summaries[k].shard_index = k;
     summaries[k].num_shards = options.num_shards;
     summaries[k].range = ranges[k];
   }
-  const ExecPolicy worker_exec =
-      options.num_shards == 1 ? options.exec : ExecPolicy::Serial();
-  if (options.workers_mode == WorkersMode::kThread) {
-    std::vector<Status> statuses(options.num_shards);
-    RunShardWorkers(options, [&](size_t k) {
-      statuses[k] = SummarizeShard(input_path, format.value(), options.csv,
-                                   options.chunk_rows, &summaries[k]);
-    });
-    for (const Status& status : statuses) {
-      if (!status.ok()) return status;
-    }
-  } else {
-    POPP_RETURN_IF_ERROR(RunShardProcesses(
-        options, out_path, "summarize",
-        [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
-          (void)attempt;  // summarize is stateless; a restart reruns whole
-          if (summaries[k].range.empty()) return Status::Ok();
-          POPP_RETURN_IF_ERROR(SummarizeShard(input_path, format.value(),
-                                              options.csv, options.chunk_rows,
-                                              &summaries[k], hb));
-          return SummaryCodec::Save(summaries[k],
-                                    ShardSummaryPath(out_path, k));
-        },
-        stats));
-    for (size_t k = 0; k < options.num_shards; ++k) {
-      if (summaries[k].range.empty()) continue;
-      auto loaded = SummaryCodec::Load(ShardSummaryPath(out_path, k));
-      if (!loaded.ok()) return loaded.status();
-      summaries[k] = std::move(loaded).value();
-      POPP_RETURN_IF_ERROR(fault::RemoveFile(ShardSummaryPath(out_path, k)));
-    }
+  POPP_RETURN_IF_ERROR(RunShardPhase(
+      options, out_path, "summarize",
+      [&](size_t k, size_t /*attempt*/, resil::HeartbeatWriter* hb) {
+        // Summarize is stateless: a restarted worker reruns it whole.
+        ShardSummary& shard = summaries[k];
+        if (shard.range.empty()) return Status::Ok();
+        auto inner =
+            stream::MakeChunkReader(input_path, format.value(), options.csv);
+        if (!inner.ok()) return inner.status();
+        RangeChunkReader range(std::move(inner).value(), shard.range);
+        BeatingChunkReader reader(&range, hb);
+        auto pass = stream::SummarizeStream(reader, options.chunk_rows);
+        if (!pass.ok()) return pass.status();
+        shard.summary = std::move(pass.value().summary);
+        shard.class_names = pass.value().schema.class_names();
+        shard.attribute_names = pass.value().schema.attribute_names();
+        if (!forked) return Status::Ok();
+        return SummaryCodec::Save(shard, ShardSummaryPath(out_path, k));
+      },
+      stats));
+  for (size_t k = 0; forked && k < options.num_shards; ++k) {
+    if (summaries[k].range.empty()) continue;
+    auto loaded = SummaryCodec::Load(ShardSummaryPath(out_path, k));
+    if (!loaded.ok()) return loaded.status();
+    summaries[k] = std::move(loaded).value();
+    POPP_RETURN_IF_ERROR(fault::RemoveFile(ShardSummaryPath(out_path, k)));
   }
   if (stats != nullptr) {
     stats->summarize_seconds = SecondsSince(summarize_start);
@@ -539,10 +523,12 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
   // Barrier. Merge the shard summaries and fit the single global plan.
   const auto merge_start = Clock::now();
   size_t num_attributes = 0;
+  std::vector<std::string> attribute_names;
   for (const ShardSummary& shard : summaries) {
     if (!shard.summary.has_value()) continue;
     if (num_attributes == 0) {
       num_attributes = shard.summary->NumAttributes();
+      attribute_names = shard.attribute_names;
     } else if (shard.summary->NumAttributes() != num_attributes) {
       return Status::InvalidArgument(
           "shard-release: shard " + std::to_string(shard.shard_index) +
@@ -551,80 +537,56 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
           std::to_string(num_attributes));
     }
   }
-  if (num_attributes == 0) {
-    return Status::InvalidArgument(
-        "shard-release: the input stream has no data rows to fit on");
-  }
   std::vector<std::string> global_names;
   auto remapped = RemapToGlobalClasses(summaries, &global_names);
   if (!remapped.ok()) return remapped.status();
   std::optional<IncrementalSummary> merged =
       MergeTree(std::move(remapped).value(), options.exec);
-  if (!merged.has_value() || merged->empty()) {
-    return Status::InvalidArgument(
-        "shard-release: the input stream has no data rows to fit on");
-  }
-  const size_t total_rows = merged->NumRows();
-  Rng rng(options.seed);
-  const TransformPlan plan = TransformPlan::CreateFromSummaries(
-      merged->SummarizeAll(), options.transform, rng, options.exec);
+  const stream::StreamOptions fit_options =
+      WorkerStreamOptions(options, options.exec);
+  auto fitted = stream::FitStreamPlan(merged, attribute_names, fit_options);
+  if (!fitted.ok()) return fitted.status();
+  const TransformPlan plan = std::move(fitted).value();
   merged.reset();
   if (stats != nullptr) {
     stats->merge_fit_seconds = SecondsSince(merge_start);
-    stats->rows = total_rows;
+    for (const ShardSummary& shard : summaries) {
+      // Every worker reads its shard in chunk_rows chunks, so the peak is
+      // fixed by the layout.
+      const size_t rows = shard.summary.has_value() ? shard.summary->NumRows()
+                                                    : 0;
+      stats->rows += rows;
+      stats->peak_resident_rows = std::max(
+          stats->peak_resident_rows, std::min(options.chunk_rows, rows));
+    }
   }
 
   // Phase 2: encode every shard in parallel, each behind its own journal.
+  // Forked workers' stats stay in the child; only thread mode reports
+  // resumed chunks.
   const auto encode_start = Clock::now();
-  if (options.workers_mode == WorkersMode::kThread) {
-    std::vector<Status> statuses(options.num_shards);
-    std::vector<stream::StreamStats> shard_stats(options.num_shards);
-    RunShardWorkers(options, [&](size_t k) {
-      statuses[k] =
-          EncodeShard(input_path, out_path, format.value(), options.csv,
-                      options, worker_exec, plan, k, ranges[k],
-                      &shard_stats[k]);
-    });
-    for (const Status& status : statuses) {
-      if (!status.ok()) return status;
-    }
-    if (stats != nullptr) {
-      for (const stream::StreamStats& s : shard_stats) {
-        stats->resumed_chunks += s.resumed_chunks;
-        stats->peak_resident_rows =
-            std::max(stats->peak_resident_rows, s.peak_resident_rows);
-      }
-    }
-  } else {
-    POPP_RETURN_IF_ERROR(RunShardProcesses(
-        options, out_path, "encode",
-        [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
-          return EncodeShard(input_path, out_path, format.value(),
-                             options.csv, options, worker_exec, plan, k,
-                             ranges[k], nullptr, attempt, hb);
-        },
-        stats));
-    if (stats != nullptr) {
-      // Children cannot report stats; the peak is determined by the layout.
-      for (size_t k = 0; k < options.num_shards; ++k) {
-        const size_t rows = summaries[k].summary.has_value()
-                                ? summaries[k].summary->NumRows()
-                                : 0;
-        stats->peak_resident_rows =
-            std::max(stats->peak_resident_rows,
-                     std::min(options.chunk_rows, rows));
-      }
-    }
-  }
+  const ExecPolicy worker_exec =
+      options.num_shards == 1 ? options.exec : ExecPolicy::Serial();
+  std::vector<stream::StreamStats> shard_stats(options.num_shards);
+  POPP_RETURN_IF_ERROR(RunShardPhase(
+      options, out_path, "encode",
+      [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
+        return EncodeShard(input_path, out_path, format.value(), options,
+                           worker_exec, plan, k, ranges[k], &shard_stats[k],
+                           attempt, hb);
+      },
+      stats));
   if (stats != nullptr) {
+    for (const stream::StreamStats& s : shard_stats) {
+      stats->resumed_chunks += s.resumed_chunks;
+    }
     stats->encode_seconds = SecondsSince(encode_start);
   }
 
   // Finalize: bind the shards into one atomic, integrity-checked release.
   const auto finalize_start = Clock::now();
   MetaManifest meta;
-  meta.fingerprint =
-      stream::StreamFingerprint(plan, WorkerStreamOptions(options, options.exec));
+  meta.fingerprint = stream::StreamFingerprint(plan, fit_options);
   meta.plan_crc = Crc64(SerializePlan(plan));
   for (size_t k = 0; k < options.num_shards; ++k) {
     ShardEntry entry;

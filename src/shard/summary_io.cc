@@ -10,7 +10,7 @@
 namespace popp::shard {
 namespace {
 
-constexpr std::string_view kHeader = "popp-shard-summary v1";
+constexpr std::string_view kHeader = "popp-shard-summary v2";
 constexpr char kHexDigits[] = "0123456789abcdef";
 
 std::string HexEncode(std::string_view bytes) {
@@ -127,6 +127,35 @@ class LineCursor {
   size_t pos_ = 0;
 };
 
+/// Parses a `<list> <n>` count line followed by n `<item> <hex>` lines.
+Status ParseNameList(LineCursor& cursor, std::string_view list,
+                     std::string_view item, std::vector<std::string>* out) {
+  std::string_view line;
+  size_t count = 0;
+  if (!cursor.Next(&line)) {
+    return Corrupt("missing " + std::string(list) + " line");
+  }
+  auto words = SplitWords(line);
+  if (words.size() != 2 || words[0] != list || !ParseSize(words[1], &count)) {
+    return Corrupt("malformed " + std::string(list) + " line");
+  }
+  out->reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (!cursor.Next(&line)) {
+      return Corrupt("truncated " + std::string(item) + " list");
+    }
+    words = SplitWords(line);
+    std::string name;
+    // An item with no second word is the empty name.
+    if (words.empty() || words[0] != item || words.size() > 2 ||
+        (words.size() == 2 && !HexDecode(words[1], &name))) {
+      return Corrupt("malformed " + std::string(item) + " line");
+    }
+    out->push_back(std::move(name));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string SummaryCodec::Serialize(const ShardSummary& shard) {
@@ -143,6 +172,10 @@ std::string SummaryCodec::Serialize(const ShardSummary& shard) {
   const bool have = shard.summary.has_value();
   oss << "rows " << (have ? shard.summary->NumRows() : 0) << "\n";
   oss << "attributes " << (have ? shard.summary->NumAttributes() : 0) << "\n";
+  oss << "names " << shard.attribute_names.size() << "\n";
+  for (const std::string& name : shard.attribute_names) {
+    oss << "name " << HexEncode(name) << "\n";
+  }
   oss << "classes " << shard.class_names.size() << "\n";
   for (const std::string& name : shard.class_names) {
     oss << "class " << HexEncode(name) << "\n";
@@ -205,25 +238,11 @@ Result<ShardSummary> SummaryCodec::Parse(std::string_view text) {
       !ParseSize(words[1], &num_attributes)) {
     return Corrupt("malformed attributes line");
   }
-  size_t num_classes = 0;
-  if (!cursor.Next(&line)) return Corrupt("missing classes line");
-  words = SplitWords(line);
-  if (words.size() != 2 || words[0] != "classes" ||
-      !ParseSize(words[1], &num_classes)) {
-    return Corrupt("malformed classes line");
-  }
-  shard.class_names.reserve(num_classes);
-  for (size_t c = 0; c < num_classes; ++c) {
-    if (!cursor.Next(&line)) return Corrupt("truncated class list");
-    words = SplitWords(line);
-    std::string name;
-    // "class" with no second word is the empty name.
-    if (words.empty() || words[0] != "class" || words.size() > 2 ||
-        (words.size() == 2 && !HexDecode(words[1], &name))) {
-      return Corrupt("malformed class line");
-    }
-    shard.class_names.push_back(std::move(name));
-  }
+  POPP_RETURN_IF_ERROR(
+      ParseNameList(cursor, "names", "name", &shard.attribute_names));
+  POPP_RETURN_IF_ERROR(
+      ParseNameList(cursor, "classes", "class", &shard.class_names));
+  const size_t num_classes = shard.class_names.size();
   if (num_attributes == 0) {
     if (rows != 0 || cursor.Next(&line)) {
       return Corrupt("empty-shard artifact carries rows");

@@ -19,11 +19,13 @@
 /// summary survives the round trip bit-identical and the merged fit stays
 /// byte-equal to the single-process release.
 ///
-///     popp-shard-summary v1
+///     popp-shard-summary v2
 ///     shard <k> <num_shards>
 ///     range <begin> <end|open>
 ///     rows <n>
 ///     attributes <m>
+///     names <a>
+///     name <hex-encoded attribute name> (a lines, schema order)
 ///     classes <c>
 ///     class <hex-encoded name>          (c lines, shard-local id order)
 ///     value <attr> <bits> <n0> <n1> ... (per-class counts, padded to c)
@@ -36,7 +38,8 @@ namespace popp::shard {
 
 /// One worker's phase-1 result: the summary plus the shard-local class
 /// dictionary (first-appearance order) the coordinator needs to remap
-/// class ids into the global dictionary before merging.
+/// class ids into the global dictionary before merging, and the attribute
+/// names the coordinator's fit quotes in its diagnostics.
 struct ShardSummary {
   size_t shard_index = 0;
   size_t num_shards = 1;
@@ -44,6 +47,8 @@ struct ShardSummary {
   /// Class names in shard-local ClassId order; size equals the summary's
   /// NumClasses(). Empty for an empty shard.
   std::vector<std::string> class_names;
+  /// Attribute names in schema order. Empty for an empty shard.
+  std::vector<std::string> attribute_names;
   /// Absent when the shard's range holds no rows.
   std::optional<stream::IncrementalSummary> summary;
 };

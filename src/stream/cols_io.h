@@ -86,29 +86,6 @@ class ColsChunkReader : public ChunkReader {
   size_t next_row_ = 0;
 };
 
-/// Collects released chunks and publishes them as one popp-cols container
-/// on Close — atomically, via the hardened writer, so the crash-safety
-/// oracle covers this sink like every other popp artifact. v1 stages the
-/// container in memory (the column encoder needs whole columns to pick
-/// dictionaries); bounded-memory spill is future work.
-class ColsChunkWriter : public ChunkWriter {
- public:
-  explicit ColsChunkWriter(std::string path);
-
-  Status Append(const Dataset& chunk) override;
-  Status Close() override;
-
-  /// Encoding stats of the committed container (valid after Close).
-  const ColsStats& stats() const { return stats_; }
-
- private:
-  std::string path_;
-  Dataset collected_;
-  bool have_any_ = false;
-  bool closed_ = false;
-  ColsStats stats_;
-};
-
 }  // namespace popp::stream
 
 #endif  // POPP_STREAM_COLS_IO_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -131,7 +130,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
       writer.BeginStream(StreamFingerprint(plan, options)));
   const size_t completed = writer.CompletedChunks();
   size_t chunk_index = 0;
-  std::unique_ptr<IncrementalSummary> running;  // kRefit only
+  std::optional<IncrementalSummary> running;  // kRefit only
   size_t rows_before = 0;
   CompiledPlan compiled = CompiledPlan::Compile(plan);
   for (;;) {
@@ -160,10 +159,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
           std::max(stats->peak_resident_rows, chunk.NumRows());
     }
     if (options.ood_policy == OodPolicy::kRefit) {
-      if (running == nullptr) {
-        running =
-            std::make_unique<IncrementalSummary>(chunk.NumAttributes());
-      }
+      if (!running.has_value()) running.emplace(chunk.NumAttributes());
       running->Absorb(chunk);
       if (ChunkHasOod(chunk, plan, options.exec)) {
         // Count the chunk's out-of-domain hits against the *old* plan,
@@ -181,9 +177,10 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
           }
         }
         const auto fit_start = Clock::now();
-        Rng rng(options.seed);
-        plan = TransformPlan::CreateFromSummaries(
-            running->SummarizeAll(), options.transform, rng, options.exec);
+        auto refit =
+            FitStreamPlan(running, chunk.schema().attribute_names(), options);
+        if (!refit.ok()) return refit.status();
+        plan = std::move(refit).value();
         compiled = CompiledPlan::Compile(plan);
         if (stats != nullptr) {
           stats->refits++;
@@ -232,6 +229,44 @@ std::string StreamFingerprint(const TransformPlan& plan,
   return oss.str();
 }
 
+Result<StreamSummary> SummarizeStream(ChunkReader& reader, size_t chunk_rows,
+                                      size_t max_rows) {
+  StreamSummary out;
+  size_t absorbed = 0;
+  while (max_rows == 0 || absorbed < max_rows) {
+    const size_t want =
+        max_rows == 0 ? chunk_rows : std::min(chunk_rows, max_rows - absorbed);
+    Result<Dataset> next = reader.NextChunk(want);
+    if (!next.ok()) return next.status();
+    const Dataset& chunk = next.value();
+    if (chunk.NumRows() == 0) break;
+    if (!out.summary.has_value()) out.summary.emplace(chunk.NumAttributes());
+    out.summary->Absorb(chunk);
+    out.schema = chunk.schema();
+    absorbed += chunk.NumRows();
+  }
+  return out;
+}
+
+Result<TransformPlan> FitStreamPlan(
+    const std::optional<IncrementalSummary>& summary,
+    const std::vector<std::string>& attribute_names,
+    const StreamOptions& options) {
+  if (!summary.has_value() || summary->empty()) {
+    return Status::InvalidArgument(
+        "the input stream has no data rows to fit on");
+  }
+  for (size_t attr = 0; attr < summary->NumAttributes(); ++attr) {
+    POPP_RETURN_IF_ERROR(CheckFitRange(
+        attr < attribute_names.size() ? attribute_names[attr]
+                                      : "attr" + std::to_string(attr),
+        summary->MinValue(attr), summary->MaxValue(attr), options.transform));
+  }
+  Rng rng(options.seed);
+  return TransformPlan::CreateFromSummaries(
+      summary->SummarizeAll(), options.transform, rng, options.exec);
+}
+
 std::string StreamStats::Render() const {
   std::ostringstream oss;
   oss << "streamed " << rows << " rows in " << chunks
@@ -265,44 +300,20 @@ Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
   if (stats != nullptr) {
     *stats = StreamStats{};
   }
-  // Pass 1: fold chunks into the incremental summary — the whole stream by
-  // default, or just the first fit_rows rows in prefix mode.
+  // Pass 1: summarize the whole stream by default, or just the first
+  // fit_rows rows in prefix mode; then fit.
   const auto summarize_start = Clock::now();
-  std::unique_ptr<IncrementalSummary> summary;
-  size_t absorbed = 0;
-  for (;;) {
-    size_t want = options.chunk_rows;
-    if (options.fit_rows > 0) {
-      if (absorbed >= options.fit_rows) break;
-      want = std::min(want, options.fit_rows - absorbed);
-    }
-    Result<Dataset> next = reader.NextChunk(want);
-    if (!next.ok()) return next.status();
-    const Dataset& chunk = next.value();
-    if (chunk.NumRows() == 0) break;
-    if (summary == nullptr) {
-      summary = std::make_unique<IncrementalSummary>(chunk.NumAttributes());
-    }
-    summary->Absorb(chunk);
-    absorbed += chunk.NumRows();
-    if (stats != nullptr) {
-      stats->peak_resident_rows =
-          std::max(stats->peak_resident_rows, chunk.NumRows());
-    }
-  }
-  if (summary == nullptr || summary->empty()) {
-    return Status::InvalidArgument(
-        "stream-release: the input stream has no data rows to fit on");
-  }
+  auto pass1 = SummarizeStream(reader, options.chunk_rows, options.fit_rows);
+  if (!pass1.ok()) return pass1.status();
   if (stats != nullptr) {
     stats->summarize_seconds = SecondsSince(summarize_start);
   }
-  // Fit: byte-identical to the batch Custodian for equal seed and data.
   const auto fit_start = Clock::now();
-  Rng rng(options.seed);
-  TransformPlan plan = TransformPlan::CreateFromSummaries(
-      summary->SummarizeAll(), options.transform, rng, options.exec);
-  summary.reset();
+  auto fitted = FitStreamPlan(pass1.value().summary,
+                              pass1.value().schema.attribute_names(), options);
+  if (!fitted.ok()) return fitted.status();
+  pass1.value().summary.reset();
+  TransformPlan plan = std::move(fitted).value();
   if (stats != nullptr) {
     stats->fit_seconds = SecondsSince(fit_start);
   }

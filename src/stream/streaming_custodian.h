@@ -2,12 +2,14 @@
 #define POPP_STREAM_STREAMING_CUSTODIAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "data/schema.h"
 #include "parallel/exec_policy.h"
 #include "stream/chunk_io.h"
+#include "stream/incremental_summary.h"
 #include "stream/ood_policy.h"
 #include "transform/plan.h"
 #include "util/status.h"
@@ -79,6 +81,31 @@ struct StreamStats {
 /// manifest-of-manifests' release identity.
 std::string StreamFingerprint(const TransformPlan& plan,
                               const StreamOptions& options);
+
+/// What the summarize step read: the rows folded into one summary, plus
+/// the last chunk's schema — the attribute names and every class seen, in
+/// the append-only first-appearance order a shard coordinator remaps from.
+struct StreamSummary {
+  std::optional<IncrementalSummary> summary;  ///< absent if no rows were read
+  Schema schema;
+};
+
+/// The summarize step (pass 1 of a streamed release, and phase 1 of every
+/// shard worker): folds chunks of at most `chunk_rows` rows into one
+/// summary, stopping after `max_rows` rows (0: read to the end).
+Result<StreamSummary> SummarizeStream(ChunkReader& reader, size_t chunk_rows,
+                                      size_t max_rows = 0);
+
+/// The fit step (the two-pass fit, the kRefit refit and the shard
+/// coordinator's fit of the merged summaries): samples the plan from
+/// `summary` with the batch RNG discipline, so equal rows and seed give
+/// the batch Custodian's plan byte for byte. InvalidArgument if there are
+/// no rows, or if an attribute's range cannot be fitted (CheckFitRange,
+/// naming the attribute from `attribute_names`).
+Result<TransformPlan> FitStreamPlan(
+    const std::optional<IncrementalSummary>& summary,
+    const std::vector<std::string>& attribute_names,
+    const StreamOptions& options);
 
 /// Stateless driver of the streamed workflow.
 class StreamingCustodian {

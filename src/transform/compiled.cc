@@ -140,15 +140,18 @@ CompiledTransform CompiledTransform::Compile(const PiecewiseTransform& t,
   c.bounds_ = DomainBounds::Of(t);
 
   // LUT eligibility rule: every piece's domain endpoints are integral (a
-  // small-integer active domain, the covertype shape) and the hull holds at
-  // most max_lut_entries integers. Entries are the *interpreted* images, so
-  // a LUT hit is bit-identical to PiecewiseTransform::Apply by construction.
+  // small-integer active domain, the covertype shape), the hull holds at
+  // most max_lut_entries integers, and all of them are below 2^53 in
+  // magnitude (from 2^53 on, v + 1 == v and the fill loop never ends).
+  // Entries are the *interpreted* images, so a LUT hit is bit-identical to
+  // PiecewiseTransform::Apply by construction.
   if (options.enable_lut && integral_hull) {
     const double base = std::ceil(c.bounds_.lo);
     const double last = std::floor(c.bounds_.hi);
     const double span = last - base;
-    if (span >= 0 &&
-        span < static_cast<double>(options.max_lut_entries)) {
+    constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+    if (span >= 0 && span < static_cast<double>(options.max_lut_entries) &&
+        std::fabs(base) < kExactIntegers && std::fabs(last) < kExactIntegers) {
       c.lut_base_ = base;
       c.lut_last_ = last;
       c.lut_.reserve(static_cast<size_t>(span) + 1);

@@ -1,7 +1,10 @@
 #include "transform/plan.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
+#include "data/csv.h"
 #include "data/summary.h"
 #include "parallel/parallel_for.h"
 #include "util/status.h"
@@ -61,6 +64,33 @@ TransformPlan TransformPlan::FromTransforms(
   TransformPlan plan;
   plan.transforms_ = std::move(transforms);
   return plan;
+}
+
+Status CheckFitRange(const std::string& attribute, AttrValue lo, AttrValue hi,
+                     const PiecewiseOptions& options) {
+  const double reach =
+      std::max(std::fabs(options.out_offset_min),
+               std::fabs(options.out_offset_max)) +
+      options.out_width_factor_max;
+  if (std::isfinite(std::fabs(lo) + std::max(1.0, hi - lo) * reach)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "attribute '" + attribute + "' spans [" + FormatCsvCell(lo) + ", " +
+      FormatCsvCell(hi) +
+      "], a range too wide to fit: the transformed range would overflow "
+      "a double (rescale the column)");
+}
+
+Status CheckFitRanges(const Dataset& data, const PiecewiseOptions& options) {
+  for (size_t attr = 0; attr < data.NumAttributes(); ++attr) {
+    const auto& col = data.Column(attr);
+    if (col.empty()) continue;
+    const auto [lo, hi] = std::minmax_element(col.begin(), col.end());
+    POPP_RETURN_IF_ERROR(CheckFitRange(data.schema().AttributeName(attr), *lo,
+                                       *hi, options));
+  }
+  return Status::Ok();
 }
 
 const PiecewiseTransform& TransformPlan::transform(size_t attr) const {

@@ -8,6 +8,7 @@
 #include "parallel/exec_policy.h"
 #include "transform/piecewise.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 /// \file
 /// A TransformPlan is the custodian's complete encoding key for one
@@ -77,6 +78,18 @@ class TransformPlan {
  private:
   std::vector<PiecewiseTransform> transforms_;
 };
+
+/// Guards a fit against ranges it cannot represent: the fit draws output
+/// bounds up to |lo| + (max |offset| + max width factor) * (hi - lo), and
+/// near the double limits (a column spanning -1e308..1e308) that
+/// overflows. InvalidArgument naming `attribute` and its range if the
+/// active domain [lo, hi] cannot be fitted under `options`; a non-finite
+/// bound is rejected too. Every fitting surface checks this first.
+Status CheckFitRange(const std::string& attribute, AttrValue lo, AttrValue hi,
+                     const PiecewiseOptions& options);
+
+/// CheckFitRange over every attribute of `data` (the batch fits' guard).
+Status CheckFitRanges(const Dataset& data, const PiecewiseOptions& options);
 
 }  // namespace popp
 

@@ -228,6 +228,34 @@ TEST(CliBasicsTest, NonFiniteCellsAreRejectedAtIngestion) {
   }
 }
 
+TEST(CliBasicsTest, OverflowingRangeIsRejectedByEveryFittingCommand) {
+  // A column spanning -1e308..1e308 overflows the fit's output range. Every
+  // command that fits a plan exits 1 naming the attribute instead of
+  // aborting; mine and convert fit nothing and still accept the column.
+  const std::string big = TempPath("big_range.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(
+                  big, "a,b,class\n-1e308,1,x\n1e308,2,y\n0,3,x\n5,4,y\n")
+                  .ok());
+  const std::vector<std::vector<std::string>> fitting = {
+      {"encode", big, TempPath("big_enc.csv"), TempPath("big_enc.key")},
+      {"stream-release", big, TempPath("big_stream.csv"),
+       TempPath("big_stream.key")},
+      {"shard-release", big, TempPath("big_shard"), TempPath("big_shard.key"),
+       "--shards", "2"},
+      {"verify", big},
+      {"report", big},
+      {"harden", big}};
+  for (const std::vector<std::string>& args : fitting) {
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("attribute 'a' spans [-1e+308, 1e+308]"),
+              std::string::npos)
+        << args[0] << ": " << r.err;
+  }
+  EXPECT_EQ(RunPopp({"mine", big, TempPath("big_range.tree")}).code, 0);
+  EXPECT_EQ(RunPopp({"convert", big, TempPath("big_range.cols")}).code, 0);
+}
+
 TEST(CliBasicsTest, UnknownFlagIsAUsageError) {
   // A typo must not silently fall back to a default (--shard for
   // --shards would otherwise release with 2 shards).

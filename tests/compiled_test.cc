@@ -198,6 +198,34 @@ TEST(CompiledTransformTest, LutIneligibleBeyondEntryCap) {
   ExpectBitIdentical(summary, t, "wide hull");
 }
 
+TEST(CompiledTransformTest, LutIneligibleFromTwoToTheFiftyThree) {
+  // Integral hulls at or beyond 2^53 hold integers no double can step
+  // through (v + 1 == v there): they must take the search path, not spin
+  // filling a LUT. A constant column and a two-value one on each side.
+  for (const AttrValue base : {9007199254740992.0, 1e17, -1e17}) {
+    for (const AttrValue step : {0.0, 16.0}) {
+      Dataset d({"x"}, {"a", "b"});
+      d.AddRow({base}, 0);
+      d.AddRow({base + step}, 1);
+      const AttributeSummary summary = SummaryOf(d);
+      Rng rng(19);
+      const PiecewiseTransform t =
+          PiecewiseTransform::Create(summary, PiecewiseOptions{}, rng);
+      const CompiledTransform compiled = CompiledTransform::Compile(t);
+      EXPECT_FALSE(compiled.has_lut()) << "base=" << base;
+      ExpectBitIdentical(summary, t, "beyond 2^53");
+    }
+  }
+  // Just below 2^53 the LUT still applies.
+  Dataset d({"x"}, {"a", "b"});
+  d.AddRow({9007199254740990.0}, 0);
+  d.AddRow({9007199254740991.0}, 1);
+  Rng rng(19);
+  const PiecewiseTransform t =
+      PiecewiseTransform::Create(SummaryOf(d), PiecewiseOptions{}, rng);
+  EXPECT_TRUE(CompiledTransform::Compile(t).has_lut());
+}
+
 // ------------------------------------------------------- OOD shared logic
 
 TEST(CompiledTransformTest, OodEncodersMatchStreamHelpers) {

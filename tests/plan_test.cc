@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/summary.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
@@ -139,6 +141,42 @@ TEST(PlanTest, DeterministicGivenSeed) {
   const TransformPlan p1 = TransformPlan::Create(d, PiecewiseOptions{}, rng1);
   const TransformPlan p2 = TransformPlan::Create(d, PiecewiseOptions{}, rng2);
   EXPECT_EQ(p1.EncodeDataset(d), p2.EncodeDataset(d));
+}
+
+TEST(PlanTest, CheckFitRangeRejectsOnlyRangesTheFitCannotRepresent) {
+  // The fit draws output bounds up to |lo| + (0.5 + 1.8) * (hi - lo) under
+  // the default options; anything that stays a finite double is fittable.
+  const PiecewiseOptions defaults;
+  EXPECT_TRUE(CheckFitRange("a", 0, 1, defaults).ok());
+  EXPECT_TRUE(CheckFitRange("a", -3e307, 3e307, defaults).ok());
+  EXPECT_TRUE(CheckFitRange("a", 1.7e308, 1.7e308, defaults).ok());
+  EXPECT_TRUE(CheckFitRange("a", 0, 7.8e307, defaults).ok());
+  const Status wide = CheckFitRange("a", -1e308, 1e308, defaults);
+  EXPECT_EQ(wide.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide.message().find("attribute 'a' spans [-1e+308, 1e+308]"),
+            std::string::npos)
+      << wide.ToString();
+  EXPECT_FALSE(CheckFitRange("a", -7.8e307, 0, defaults).ok());
+  EXPECT_FALSE(CheckFitRange("a", 0, std::numeric_limits<double>::infinity(),
+                             defaults).ok());
+  // The bound follows the options: a wider width factor rejects sooner.
+  PiecewiseOptions wider;
+  wider.out_width_factor_max = 10;
+  EXPECT_TRUE(CheckFitRange("a", 0, 2e307, defaults).ok());
+  EXPECT_FALSE(CheckFitRange("a", 0, 2e307, wider).ok());
+}
+
+TEST(PlanTest, CheckFitRangesNamesTheFirstOverflowingAttribute) {
+  Dataset data({"calm", "wide"}, {"x"});
+  data.AddRow({1, -1e308}, 0);
+  data.AddRow({2, 1e308}, 0);
+  const Status status = CheckFitRanges(data, PiecewiseOptions{});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("attribute 'wide'"), std::string::npos)
+      << status.ToString();
+  Dataset calm({"calm"}, {"x"});
+  calm.AddRow({1}, 0);
+  EXPECT_TRUE(CheckFitRanges(calm, PiecewiseOptions{}).ok());
 }
 
 }  // namespace

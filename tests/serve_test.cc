@@ -667,6 +667,35 @@ TEST_F(ServeEndToEndTest, InputsNoFitCanUseAreRejectedAndTheDaemonLives) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+TEST_F(ServeEndToEndTest, OverflowingRangeIsRejectedAndTheDaemonLives) {
+  // A column spanning -1e308..1e308 overflows the fit's output range and
+  // once aborted the daemon for every tenant. Each op that fits must
+  // reply kInvalidArgument naming the attribute; health still answers.
+  ServeOptions options;
+  options.socket_path = TempSocketPath("bigrange");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+
+  for (Tag op : {Tag::kEncode, Tag::kFit, Tag::kVerify, Tag::kRisk}) {
+    RequestBody request;
+    request.options = OptionsText(3, 1);
+    request.dataset = "a,b,class\n-1e308,1,x\n1e308,2,y\n0,3,x\n5,4,y\n";
+    auto reply = client.Call(op, "t", request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().code, StatusCode::kInvalidArgument)
+        << TagName(op) << ": " << reply.value().text;
+    EXPECT_NE(reply.value().text.find("attribute 'a' spans [-1e+308, 1e+308]"),
+              std::string::npos)
+        << TagName(op) << ": " << reply.value().text;
+  }
+  auto health = client.Call(Tag::kHealth, "other", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().text, "healthy");
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
 TEST_F(ServeEndToEndTest, SaveIsConfinedToThePerTenantDirectory) {
   const std::string save_dir = testing::TempDir() + "popp_srv_saves_" +
                                std::to_string(::getpid());

@@ -312,6 +312,7 @@ ShardSummary SummaryOf(const Dataset& data, size_t begin, size_t end,
     EXPECT_TRUE(chunk.ok());
     inc.Absorb(chunk.value());
     s.class_names = chunk.value().schema().class_names();
+    s.attribute_names = chunk.value().schema().attribute_names();
     s.summary = std::move(inc);
   }
   return s;
@@ -327,6 +328,8 @@ TEST(SummaryCodecTest, RoundTripIsByteStable) {
   EXPECT_EQ(parsed.value().shard_index, 1u);
   EXPECT_EQ(parsed.value().num_shards, 3u);
   EXPECT_EQ(parsed.value().class_names, shard.class_names);
+  ASSERT_FALSE(shard.attribute_names.empty());
+  EXPECT_EQ(parsed.value().attribute_names, shard.attribute_names);
   ASSERT_TRUE(parsed.value().summary.has_value());
   EXPECT_EQ(parsed.value().summary->NumRows(), 55u);
   EXPECT_EQ(FitBytes(*parsed.value().summary, 3),
@@ -610,6 +613,31 @@ TEST_F(ShardReleaseTest, EmptyInputIsInvalidArgument) {
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 }
 
+// ------------------------------------------------ one phase dispatcher --
+
+/// Two rows per shard of a 2-shard layout whose merged range overflows
+/// the fit, though neither shard's own range does.
+std::string WriteOverflowSplitAcrossShards(const std::string& name) {
+  Dataset data({"calm", "wide"}, {"x", "y"});
+  data.AddRow({1, -1e308}, 0);
+  data.AddRow({2, 0}, 1);
+  data.AddRow({3, 1}, 0);
+  data.AddRow({4, 1e308}, 1);
+  return WriteInput(data, name, false);
+}
+
+TEST(ShardDispatchTest, MergedOverflowIsInvalidArgumentNamingTheAttribute) {
+  const std::string input = WriteOverflowSplitAcrossShards("overflow.csv");
+  auto plan = ShardedCustodian::Release(input, TempPath("overflow_out"),
+                                        BaseOptions(2, 2, 16, 1), nullptr);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find(
+                "attribute 'wide' spans [-1e+308, 1e+308]"),
+            std::string::npos)
+      << plan.status().ToString();
+}
+
 // --------------------------------------------------- crash and resume --
 
 TEST(ShardResumeTest, FaultsAnywhereResumeToIdenticalBytes) {
@@ -881,6 +909,65 @@ TEST(ShardProcessTest, WorkerFailureSurfacesThroughExitCodes) {
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kIoError);
   EXPECT_NE(plan.status().message().find("worker"), std::string::npos)
+      << plan.status().ToString();
+}
+
+TEST(ShardProcessDispatchTest, ThreadAndProcessModesReportEqualStats) {
+  // Each phase has one worker body, run inline/pooled or forked by the
+  // dispatcher: both modes must report the same layout-derived stats and
+  // bytes — with empty ranges (rows < shards) and with one open shard.
+  struct Case {
+    size_t rows;
+    size_t shards;
+    size_t empty;
+    size_t peak;
+  };
+  for (const Case c : {Case{130, 3, 0, 16}, Case{3, 8, 5, 1},
+                       Case{70, 1, 0, 16}}) {
+    const Dataset data = CovtypeLikeData(c.rows, 83);
+    const std::string input = WriteInput(data, "dispatch.csv", false);
+    const std::string where = "rows=" + std::to_string(c.rows) +
+                              " shards=" + std::to_string(c.shards);
+    ShardStats stats[2];
+    std::string bytes[2];
+    for (const shard::WorkersMode mode :
+         {shard::WorkersMode::kThread, shard::WorkersMode::kProcess}) {
+      const size_t m = mode == shard::WorkersMode::kThread ? 0 : 1;
+      ShardOptions options = BaseOptions(c.shards, 2, 16, 4);
+      options.workers_mode = mode;
+      const std::string out = TempPath("dispatch_out");
+      auto plan = ShardedCustodian::Release(input, out, options, &stats[m]);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString() << " " << where;
+      bytes[m] = ConcatShards(out, c.shards);
+      for (size_t k = 0; k < c.shards; ++k) {
+        EXPECT_FALSE(fault::FileExists(shard::ShardSummaryPath(out, k)));
+      }
+    }
+    for (const ShardStats& s : stats) {
+      EXPECT_EQ(s.rows, c.rows) << where;
+      EXPECT_EQ(s.shards, c.shards) << where;
+      EXPECT_EQ(s.empty_shards, c.empty) << where;
+      EXPECT_EQ(s.peak_resident_rows, c.peak) << where;
+    }
+    EXPECT_GT(stats[0].released_bytes, 0u) << where;
+    EXPECT_EQ(stats[1].released_bytes, stats[0].released_bytes) << where;
+    EXPECT_EQ(bytes[1], bytes[0]) << where;
+  }
+}
+
+TEST(ShardProcessDispatchTest, MergedOverflowNamesTheAttributeFromForks) {
+  // Forked workers hand the attribute names back through the `.sum`
+  // artifact, so the coordinator's diagnostic names the column too.
+  const std::string input = WriteOverflowSplitAcrossShards("overflow_p.csv");
+  ShardOptions options = BaseOptions(2, 2, 16, 1);
+  options.workers_mode = shard::WorkersMode::kProcess;
+  auto plan = ShardedCustodian::Release(input, TempPath("overflow_p_out"),
+                                        options, nullptr);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find(
+                "attribute 'wide' spans [-1e+308, 1e+308]"),
+            std::string::npos)
       << plan.status().ToString();
 }
 

@@ -25,11 +25,11 @@ namespace popp {
 namespace {
 
 using stream::CsvChunkReader;
-using stream::CsvChunkWriter;
 using stream::DatasetChunkReader;
 using stream::DatasetChunkWriter;
 using stream::IncrementalSummary;
 using stream::OodPolicy;
+using stream::ResumableCsvChunkWriter;
 using stream::StreamingCustodian;
 using stream::StreamOptions;
 using stream::StreamStats;
@@ -140,7 +140,7 @@ TEST(ChunkIoTest, CsvReaderMatchesReadCsvAcrossChunkSizes) {
 TEST(ChunkIoTest, CsvWriterConcatenatesToOneShotBytes) {
   const Dataset data = CovtypeLikeData(150);
   const std::string path = testing::TempDir() + "/stream_writer.csv";
-  CsvChunkWriter writer(path);
+  ResumableCsvChunkWriter writer(path);
   DatasetChunkReader reader(&data);
   for (;;) {
     auto chunk = reader.NextChunk(11);
@@ -218,7 +218,7 @@ TEST(StreamReleaseTest, FromCsvFileMatchesBatch) {
   options.seed = seed;
   CsvChunkReader reader(in_path);
   const std::string out_path = testing::TempDir() + "/stream_out.csv";
-  CsvChunkWriter writer(out_path);
+  ResumableCsvChunkWriter writer(out_path);
   auto plan = StreamingCustodian::Release(reader, writer, options);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::ifstream in(out_path, std::ios::binary);
@@ -226,6 +226,34 @@ TEST(StreamReleaseTest, FromCsvFileMatchesBatch) {
                        std::istreambuf_iterator<char>());
   EXPECT_EQ(released, ToCsvString(batch.released));
   EXPECT_EQ(SerializePlan(plan.value()), SerializePlan(batch.plan));
+}
+
+TEST(StreamReleaseTest, OverflowingRangeIsInvalidArgumentNamingTheAttribute) {
+  // The fit step rejects a range it cannot represent by name instead of
+  // aborting — in the two-pass fit, and in a kRefit refit that first meets
+  // the range mid-stream.
+  Dataset data({"calm", "wide"}, {"x", "y"});
+  for (int i = 0; i < 6; ++i) {
+    data.AddRow({static_cast<AttrValue>(i), static_cast<AttrValue>(i)}, i % 2);
+  }
+  data.AddRow({6, -1e308}, 0);
+  data.AddRow({7, 1e308}, 1);
+  for (const bool refit : {false, true}) {
+    StreamOptions options;
+    options.chunk_rows = 2;
+    if (refit) {
+      options.fit_rows = 4;
+      options.ood_policy = OodPolicy::kRefit;
+    }
+    DatasetChunkReader reader(&data);
+    DatasetChunkWriter writer;
+    auto plan = StreamingCustodian::Release(reader, writer, options);
+    ASSERT_FALSE(plan.ok()) << "refit=" << refit;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find("attribute 'wide' spans [-1e+308"),
+              std::string::npos)
+        << plan.status().ToString();
+  }
 }
 
 TEST(StreamReleaseTest, MinedTreesIdenticalForGiniAndEntropy) {
@@ -393,8 +421,6 @@ TEST(StreamReleaseTest, ReleaseWithLoadedPlanMatchesBatchEncode) {
 }
 
 // ------------------------------------------------------ crash + resume --
-
-using stream::ResumableCsvChunkWriter;
 
 /// One streamed release into the journaled sink at `path`.
 Status ResumableRelease(const Dataset& data, const StreamOptions& options,

@@ -43,7 +43,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 echo "== build =="
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
@@ -106,7 +106,7 @@ echo "== shard_vs_stream oracle + sharded-release tests under ASan =="
 "$build_dir/tools/popp_check" --oracle shard_vs_stream \
   --trials 10 --seed 19 --out "$build_dir"
 "$build_dir/tests/popp_tests" \
-  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardResume*:ShardProcess*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:CliShardProcess*:CliBasicsTest.Shard*'
+  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardDispatch*:ShardResume*:ShardProcess*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:CliShardProcess*:CliBasicsTest.Shard*'
 
 echo "== supervised_convergence oracle + resilience tests under ASan =="
 # The supervision/overload contract: randomized crash/error/delay
@@ -129,7 +129,7 @@ cmake -B "$tsan_build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 echo "== build (TSan) =="
-cmake --build "$tsan_build_dir" -j --target popp_tests popp_check
+cmake --build "$tsan_build_dir" -j "$(nproc)" --target popp_tests popp_check
 
 echo "== parallel + streaming tests under TSan =="
 "$tsan_build_dir/tests/popp_tests" \
@@ -150,7 +150,7 @@ echo "== stream resume under TSan (kill-point sweep + --resume at 7 threads) =="
 # journal recovery path; the CLI pass drives the same machinery end to
 # end with --threads 7 and verifies the resumed artifact byte-for-byte.
 "$tsan_build_dir/tests/popp_tests" --gtest_filter='StreamResume*'
-cmake --build "$tsan_build_dir" -j --target popp_cli
+cmake --build "$tsan_build_dir" -j "$(nproc)" --target popp_cli
 resume_dir="$tsan_build_dir/resume-e2e"
 mkdir -p "$resume_dir"
 awk 'BEGIN {
@@ -196,7 +196,7 @@ echo "== shard_vs_stream oracle + sharded-release tests under TSan =="
 "$tsan_build_dir/tools/popp_check" --oracle shard_vs_stream \
   --trials 8 --seed 19 --out "$tsan_build_dir"
 "$tsan_build_dir/tests/popp_tests" \
-  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardResume*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:-*ShardProcess*'
+  --gtest_filter='SplitRows*:CountRows*:RangeChunkReader*:SkipRows*:SummaryCodec*:MergeProperty*:ShardRelease*:ShardThreadMode*:ShardDispatch*:ShardResume*:ShardOracle*:MetaManifest*:CliTest.Shard*:CliTest.VerifyManifest*:-*ShardProcess*'
 
 echo "== serve_vs_cli oracle + concurrent serving tests under TSan =="
 # The daemon's accept loop, per-tenant locking and drain path under real
@@ -224,7 +224,7 @@ echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push one cols-framed encode through
 # `popp serve-client`, byte-compare against `popp encode`, then shut the
 # daemon down and verify it drained (exit 0) and removed its socket.
-cmake --build "$build_dir" -j --target popp_serve popp_cli
+cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
 awk 'BEGIN {
